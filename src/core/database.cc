@@ -55,6 +55,14 @@ void CountReclassify() {
   reclassifies->Increment();
 }
 
+/// Writes `states` over `table`, replacing same-id items. New ids move
+/// their nodes across instead of copying them.
+template <typename Map>
+void OverwriteItems(Map& table, Map& states) {
+  table.merge(states);  // leaves behind the ids `table` already holds
+  for (auto& [id, item] : states) table.insert_or_assign(id, std::move(item));
+}
+
 }  // namespace
 
 Database::Database(schema::SchemaPtr schema) : schema_(std::move(schema)) {
@@ -210,32 +218,34 @@ void Database::RebuildIndexes() {
   extent_counters_.Clear();
   live_objects_ = 0;
   live_relationships_ = 0;
+  attr_indexes_.ClearEntries();
   for (const auto& [id, obj] : objects_) {
-    if (!obj.deleted) IndexObject(obj);
+    if (!obj.deleted) {
+      IndexObject(obj);
+      if (!obj.is_pattern) RefreshAttrIndexes(id);
+    }
     object_ids_.ReserveThrough(id);
   }
   for (const auto& [id, rel] : relationships_) {
-    if (!rel.deleted) IndexRelationship(rel);
+    if (!rel.deleted) {
+      IndexRelationship(rel);
+      if (!rel.is_pattern) RefreshRelAttrIndexes(id);
+    }
     relationship_ids_.ReserveThrough(id);
   }
-  attr_indexes_.RefreshAll(*schema_, objects_, relationships_);
 }
 
-void Database::ClearContents() {
-  objects_.clear();
-  relationships_.clear();
-  name_index_.clear();
-  pattern_name_index_.clear();
-  by_class_.clear();
-  by_assoc_.clear();
-  rels_by_object_.clear();
-  children_by_key_.clear();
-  changed_objects_.clear();
-  changed_relationships_.clear();
-  attr_indexes_.ClearEntries();
-  extent_counters_.Clear();
-  live_objects_ = 0;
-  live_relationships_ = 0;
+void Database::WriteItemStates(ItemStates states) {
+  if (states.schema != nullptr) schema_ = std::move(states.schema);
+  for (ObjectId id : states.erased_objects) objects_.erase(id);
+  for (RelationshipId id : states.erased_relationships) {
+    relationships_.erase(id);
+  }
+  for (const auto& [id, obj] : states.objects) Touch(id);
+  for (const auto& [id, rel] : states.relationships) Touch(id);
+  OverwriteItems(objects_, states.objects);
+  OverwriteItems(relationships_, states.relationships);
+  RebuildIndexes();
 }
 
 void Database::RestoreObject(ObjectItem item) {
@@ -995,7 +1005,7 @@ Status Database::MigrateToSchema(schema::SchemaPtr new_schema) {
   // otherwise make every future Load() fail), then re-derive coverage —
   // generalization families may have changed.
   attr_indexes_.PruneInvalidSpecs(*schema_);
-  attr_indexes_.RefreshAll(*schema_, objects_, relationships_);
+  RebuildIndexes();
   return Status::OK();
 }
 

@@ -75,6 +75,21 @@ struct CreateOptions {
   bool pattern = false;
 };
 
+/// A batch of raw item states, tombstones included, keyed like the raw
+/// tables: what snapshot capture, version views and restores, Load,
+/// checkout import and check-in write through Database::WriteItemStates.
+struct ItemStates {
+  std::map<ObjectId, ObjectItem> objects;
+  std::map<RelationshipId, RelationshipItem> relationships;
+  /// Items removed outright: a version restore drops the working items
+  /// the version lacks, a rejected check-in the items it created.
+  std::vector<ObjectId> erased_objects;
+  std::vector<RelationshipId> erased_relationships;
+  /// When set, the database adopts this schema before deriving: a version
+  /// decodes under the schema it was frozen with.
+  schema::SchemaPtr schema;
+};
+
 class Database {
  public:
   explicit Database(schema::SchemaPtr schema);
@@ -222,8 +237,8 @@ class Database {
   /// association extent — the planner's cost-model input.
   const ExtentCounters& extent_counters() const { return extent_counters_; }
 
-  /// Trusted mutable access (persistence restores the spec catalog, then
-  /// RebuildIndexes() re-derives the entries).
+  /// Trusted mutable access: register index specs here before
+  /// WriteItemStates() so its pass derives their entries too.
   index::IndexManager& attribute_indexes_mutable() { return attr_indexes_; }
 
   // --- Checking -------------------------------------------------------------
@@ -275,28 +290,21 @@ class Database {
     return relationships_;
   }
 
-  /// Restores a full item state (used by version-view materialization and
-  /// multiuser check-in). Bypasses consistency checks; callers are trusted
-  /// layers that re-audit afterwards.
+  /// The one bulk write path, for a fresh database and a live one alike:
+  /// adopts `states.schema` when set, erases the listed ids, writes every
+  /// state over the same-id item, then re-derives every retrieval map,
+  /// extent counter and attribute-index entry in one pass. Written ids
+  /// count as changed (callers building a fresh database clear change
+  /// tracking); id generators reserve through every item id and never
+  /// move back. Bypasses consistency checks; callers are trusted layers
+  /// that audit afterwards where it matters.
+  void WriteItemStates(ItemStates states);
+
+  /// Single-item writes for callers that batch their own; follow them
+  /// with RebuildIndexes(), the derivation pass of WriteItemStates().
   void RestoreObject(ObjectItem item);
   void RestoreRelationship(RelationshipItem item);
-  /// Re-derives every index after a batch of Restore* calls.
   void RebuildIndexes();
-
-  /// Drops all items and indexes but keeps the schema, attached procedures
-  /// and id watermarks (ids are never reused across version selection).
-  void ClearContents();
-
-  /// Physically removes an item (trusted; used by the multiuser layer to
-  /// roll back a rejected check-in). Call RebuildIndexes() afterwards.
-  void EraseObjectTrusted(ObjectId id) { objects_.erase(id); }
-  void EraseRelationshipTrusted(RelationshipId id) {
-    relationships_.erase(id);
-  }
-
-  /// Trusted schema swap without a consistency audit; used by the version
-  /// layer when materializing views under historical schema versions.
-  void ResetSchemaTrusted(schema::SchemaPtr s) { schema_ = std::move(s); }
 
   /// Id generators, exposed so persistence can save/restore watermarks.
   IdGenerator<ObjectId>& object_ids() { return object_ids_; }

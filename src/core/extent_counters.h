@@ -7,8 +7,8 @@
 // UnindexObject and the relationship twins), so the counts are exact at
 // all times: after create, delete cascade, reclassify, veto rollback,
 // version restore and persistence load (the bulk paths go through
-// Database::RebuildIndexes, which re-derives the counters the same way it
-// re-derives the maps). Pattern items are excluded — they are invisible
+// Database::WriteItemStates, which re-derives the counters the same way
+// it re-derives the maps). Pattern items are excluded — they are invisible
 // to the query layer's extents.
 //
 // Degree statistics ride on the same hooks: per (association, role,

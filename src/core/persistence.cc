@@ -77,10 +77,10 @@ Result<std::unique_ptr<Database>> Persistence::Load(storage::KvStore* kv) {
                         schema::SchemaCodec::Decode(&schema_dec));
   auto db = std::make_unique<Database>(schema);
 
-  // Index definitions (absent in pre-index stores). Entries are derived
-  // by the RebuildIndexes() below once the items are restored. A spec
-  // that no longer validates against the stored schema is dropped rather
-  // than making the whole store unloadable.
+  // Index definitions (absent in pre-index stores), registered before the
+  // items so WriteItemStates() derives their entries in its one pass. A
+  // spec that no longer validates against the stored schema is dropped
+  // rather than making the whole store unloadable.
   if (auto spec_bytes = kv->Get(MetaKey(2)); spec_bytes.ok()) {
     Decoder spec_dec(spec_bytes->data(), spec_bytes->size());
     SEED_ASSIGN_OR_RETURN(auto specs,
@@ -95,9 +95,10 @@ Result<std::unique_ptr<Database>> Persistence::Load(storage::KvStore* kv) {
     return spec_bytes.status();
   }
 
+  ItemStates states;
   Status item_status = Status::OK();
   SEED_RETURN_IF_ERROR(
-      kv->Scan([&db, &item_status](std::uint64_t key, std::string_view bytes) {
+      kv->Scan([&](std::uint64_t key, std::string_view bytes) {
         if (!item_status.ok()) return;
         std::uint64_t tag = key >> 56;
         if (tag == 2) {
@@ -106,18 +107,18 @@ Result<std::unique_ptr<Database>> Persistence::Load(storage::KvStore* kv) {
             item_status = obj.status();
             return;
           }
-          db->RestoreObject(std::move(*obj));
+          states.objects[obj->id] = std::move(*obj);
         } else if (tag == 3) {
           auto rel = ItemCodec::DecodeRelationshipFromString(bytes);
           if (!rel.ok()) {
             item_status = rel.status();
             return;
           }
-          db->RestoreRelationship(std::move(*rel));
+          states.relationships[rel->id] = std::move(*rel);
         }
       }));
   SEED_RETURN_IF_ERROR(item_status);
-  db->RebuildIndexes();
+  db->WriteItemStates(std::move(states));
   db->ClearChangeTracking();
   db->attribute_indexes_mutable().ClearSpecsDirty();
   return db;

@@ -281,21 +281,6 @@ void IndexManager::RefreshRelationship(const schema::Schema& schema,
   }
 }
 
-void IndexManager::RefreshAll(const schema::Schema& schema,
-                              const ObjectMap& objects,
-                              const RelationshipMap& relationships) {
-  ClearEntries();
-  for (const auto& [id, obj] : objects) {
-    if (!obj.deleted && !obj.is_pattern) RefreshObject(schema, objects, id);
-  }
-  if (num_rel_indexes_ == 0) return;
-  for (const auto& [id, rel] : relationships) {
-    if (!rel.deleted && !rel.is_pattern) {
-      RefreshRelationship(schema, objects, relationships, id);
-    }
-  }
-}
-
 void IndexManager::ClearEntries() {
   for (const auto& idx : indexes_) idx->Clear();
 }

@@ -15,8 +15,8 @@
 // create/delete/reclassify and after mutations of relationship-attribute
 // sub-objects. Refresh recomputes the desired key set from scratch and
 // diffs it against the indexed state, so the calls are idempotent and
-// order-independent; bulk restore paths go through RefreshAll (hooked
-// into Database::RebuildIndexes).
+// order-independent; bulk writes clear every entry and refresh each live
+// item once (Database::WriteItemStates).
 //
 // Reclassification migrates entries between extents for free: the desired
 // key set of an item is empty for every index whose coverage no longer
@@ -110,11 +110,6 @@ class IndexManager {
                            const ObjectMap& objects,
                            const RelationshipMap& relationships,
                            RelationshipId id);
-
-  /// Drops all entries (index definitions survive) and re-derives them
-  /// from the live items.
-  void RefreshAll(const schema::Schema& schema, const ObjectMap& objects,
-                  const RelationshipMap& relationships);
 
   /// Drops all entries but keeps the index definitions.
   void ClearEntries();

@@ -50,19 +50,20 @@ void ClientSession::ResetLocal() {
 }
 
 void ClientSession::ImportBundle(const CheckoutBundle& bundle) {
-  // Capture before the restores below bump the generators with foreign
+  // Capture before the write below bumps the generators with foreign
   // (other-stripe) item ids.
   CaptureWatermarks();
+  core::ItemStates states;
   for (const core::ObjectItem& obj : bundle.objects) {
-    local_->RestoreObject(obj);
+    states.objects[obj.id] = obj;
   }
   for (const core::RelationshipItem& rel : bundle.relationships) {
-    local_->RestoreRelationship(rel);
+    states.relationships[rel.id] = rel;
   }
-  local_->RebuildIndexes();
-  // Restore/RebuildIndexes reserved through every imported id (possibly in
-  // another client's stripe); pin the generators back into this client's
-  // range, above everything it ever issued.
+  local_->WriteItemStates(std::move(states));
+  // The write reserved through every imported id (possibly in another
+  // client's stripe); pin the generators back into this client's range,
+  // above everything it ever issued.
   local_->object_ids().ResetTo(object_id_watermark_ + 1);
   local_->relationship_ids().ResetTo(relationship_id_watermark_ + 1);
   // Imported items are unchanged as far as the next check-in is concerned.

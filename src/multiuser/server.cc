@@ -316,119 +316,96 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
     stripe_lo = client_it->second.stripe_base;
   }
   std::uint64_t stripe_hi = stripe_lo + kStripeSize;
+  // One sample per check-in that reaches the phase.
+  static obs::Histogram* apply_ns =
+      obs::MetricsRegistry::Global().GetHistogram("server.checkin.apply.ns");
+  static obs::Histogram* audit_ns =
+      obs::MetricsRegistry::Global().GetHistogram("server.checkin.audit.ns");
+  static obs::Histogram* publish_ns =
+      obs::MetricsRegistry::Global().GetHistogram("server.checkin.publish.ns");
+  auto reject = [this](Status why) {
+    checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
+    CountCheckinRejected();
+    return why;
+  };
 
   std::uint64_t seq = 0;
   {
     common::MutexLock lock(master_mu_);
 
-    // --- Validate lock coverage ----------------------------------------------
+    // --- Validate lock coverage, logging each item's prior state -------------
+    // The undo batch restores what an item was, or erases it when the
+    // bundle creates it; the first occurrence of an id wins.
+    core::ItemStates apply;
+    core::ItemStates undo;
     const auto& objects = master_->objects_raw();
     const auto& rels = master_->relationships_raw();
     for (const core::ObjectItem& obj : bundle.objects) {
       auto existing = objects.find(obj.id);
       if (existing != objects.end()) {
         if (!locks_.IsHeldBy(client, RootOf(obj.id))) {
-          checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-          CountCheckinRejected();
-          return Status::LockConflict(
+          return reject(Status::LockConflict(
               "modified object '" + master_->FullName(obj.id) +
-              "' is not covered by a write lock of this client");
+              "' is not covered by a write lock of this client"));
         }
+        undo.objects.emplace(obj.id, existing->second);
       } else if (obj.id.raw() < stripe_lo || obj.id.raw() >= stripe_hi) {
-        checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-        CountCheckinRejected();
-        return Status::FailedPrecondition(
+        return reject(Status::FailedPrecondition(
             "new object id " + std::to_string(obj.id.raw()) +
-            " lies outside the client's id stripe");
+            " lies outside the client's id stripe"));
+      } else {
+        undo.erased_objects.push_back(obj.id);
       }
+      apply.objects[obj.id] = obj;
     }
     for (const core::RelationshipItem& rel : bundle.relationships) {
       auto existing = rels.find(rel.id);
-      if (existing == rels.end() &&
-          (rel.id.raw() < stripe_lo || rel.id.raw() >= stripe_hi)) {
-        checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-        CountCheckinRejected();
-        return Status::FailedPrecondition(
+      if (existing != rels.end()) {
+        undo.relationships.emplace(rel.id, existing->second);
+      } else if (rel.id.raw() < stripe_lo || rel.id.raw() >= stripe_hi) {
+        return reject(Status::FailedPrecondition(
             "new relationship id " + std::to_string(rel.id.raw()) +
-            " lies outside the client's id stripe");
+            " lies outside the client's id stripe"));
+      } else {
+        undo.erased_relationships.push_back(rel.id);
       }
       // Every pre-existing participant must be covered by a lock: creating
       // or changing a relationship updates both ends' participation.
       for (ObjectId end : rel.ends) {
         if (objects.find(end) != objects.end() &&
             !locks_.IsHeldBy(client, RootOf(end))) {
-          checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-          CountCheckinRejected();
-          return Status::LockConflict(
+          return reject(Status::LockConflict(
               "relationship participant '" + master_->FullName(end) +
-              "' is not covered by a write lock of this client");
+              "' is not covered by a write lock of this client"));
         }
       }
+      apply.relationships[rel.id] = rel;
     }
 
-    // --- Apply as a single transaction with undo log -------------------------
-    struct ObjectUndo {
-      ObjectId id;
-      bool existed;
-      core::ObjectItem old_state;
-    };
-    struct RelationshipUndo {
-      RelationshipId id;
-      bool existed;
-      core::RelationshipItem old_state;
-    };
-    std::vector<ObjectUndo> object_undo;
-    std::vector<RelationshipUndo> rel_undo;
-    for (const core::ObjectItem& obj : bundle.objects) {
-      auto existing = objects.find(obj.id);
-      ObjectUndo undo;
-      undo.id = obj.id;
-      undo.existed = existing != objects.end();
-      if (undo.existed) undo.old_state = existing->second;
-      object_undo.push_back(std::move(undo));
-      master_->RestoreObject(obj);
+    // --- Apply as a single transaction, audit, roll back on violation --------
+    {
+      obs::ScopedTimer timer(apply_ns);
+      master_->WriteItemStates(std::move(apply));
     }
-    for (const core::RelationshipItem& rel : bundle.relationships) {
-      auto existing = rels.find(rel.id);
-      RelationshipUndo undo;
-      undo.id = rel.id;
-      undo.existed = existing != rels.end();
-      if (undo.existed) undo.old_state = existing->second;
-      rel_undo.push_back(std::move(undo));
-      master_->RestoreRelationship(rel);
+    core::Report audit;
+    {
+      obs::ScopedTimer timer(audit_ns);
+      audit = master_->AuditConsistency();
     }
-    master_->RebuildIndexes();
-
-    core::Report audit = master_->AuditConsistency();
     if (!audit.clean()) {
-      for (auto it = rel_undo.rbegin(); it != rel_undo.rend(); ++it) {
-        if (it->existed) {
-          master_->RestoreRelationship(it->old_state);
-        } else {
-          master_->EraseRelationshipTrusted(it->id);
-        }
-      }
-      for (auto it = object_undo.rbegin(); it != object_undo.rend(); ++it) {
-        if (it->existed) {
-          master_->RestoreObject(it->old_state);
-        } else {
-          master_->EraseObjectTrusted(it->id);
-        }
-      }
-      master_->RebuildIndexes();
-      checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-      CountCheckinRejected();
+      master_->WriteItemStates(std::move(undo));
       // Locks are deliberately kept: the client can repair and retry.
-      return Status::ConsistencyViolation(
+      return reject(Status::ConsistencyViolation(
           "check-in rejected: " + audit.violations.front().ToString() +
           (audit.size() > 1
                ? " (and " + std::to_string(audit.size() - 1) + " more)"
-               : ""));
+               : "")));
     }
 
     seq = next_commit_seq_++;
     // Publish before releasing the stripes: the next checkout winner's
     // snapshot already contains this commit.
+    obs::ScopedTimer timer(publish_ns);
     PublishSnapshotLocked();
   }
 

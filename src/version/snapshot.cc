@@ -5,22 +5,19 @@ namespace seed::version {
 SnapshotPtr Snapshot::Capture(const core::Database& source,
                               std::uint64_t epoch) {
   auto db = std::make_unique<core::Database>(source.schema());
+  // Index specs first, so the one derivation pass fills their entries and
+  // probe-served queries plan identically on the snapshot and the master.
+  for (const auto& idx : source.attribute_indexes().indexes()) {
+    (void)db->attribute_indexes_mutable().CreateIndex(*source.schema(),
+                                                      idx->spec());
+  }
   // Raw item states, tombstones included: a snapshot must replay the
   // master byte-for-byte (deleted markers drive version history and keep
   // id generators from re-issuing), not just its live view.
-  for (const auto& [id, obj] : source.objects_raw()) {
-    db->RestoreObject(obj);
-  }
-  for (const auto& [id, rel] : source.relationships_raw()) {
-    db->RestoreRelationship(rel);
-  }
-  db->RebuildIndexes();
-  // Re-create attribute indexes from their specs; each backfills from the
-  // restored items, so probe-served queries plan identically on the
-  // snapshot and on the master.
-  for (const auto& idx : source.attribute_indexes().indexes()) {
-    (void)db->CreateAttributeIndex(idx->spec());
-  }
+  core::ItemStates states;
+  states.objects = source.objects_raw();
+  states.relationships = source.relationships_raw();
+  db->WriteItemStates(std::move(states));
   // Readers never check in, so the copy's change tracking is noise.
   db->ClearChangeTracking();
   return SnapshotPtr(new Snapshot(std::move(db), epoch));

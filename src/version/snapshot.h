@@ -5,9 +5,14 @@
 // a monotonically increasing epoch. It is published as a
 // shared_ptr<const Snapshot>: pinning is a refcount bump, readers run
 // whole query workloads against the frozen state without ever touching a
-// writer's lock, and the copy is freed when the last pin drops. Capture
-// itself is the only expensive step (a full structural clone), so the
-// server captures once per commit and every reader shares the result.
+// writer's lock, and the copy is freed when the last pin drops.
+//
+// Capture goes through the same seam as every other bulk path (version
+// views and restores, Load, checkout import, check-in):
+// core::Database::WriteItemStates. It registers the source's index specs,
+// writes a copy of its raw item states and derives every retrieval
+// structure in one pass. That is the only expensive step, so the server
+// captures once per commit and every reader shares the result.
 
 #ifndef SEED_VERSION_SNAPSHOT_H_
 #define SEED_VERSION_SNAPSHOT_H_

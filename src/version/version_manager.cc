@@ -170,7 +170,7 @@ Result<std::vector<const VersionRecord*>> VersionManager::PathTo(
   return path;
 }
 
-Result<std::unique_ptr<core::Database>> VersionManager::MaterializeView(
+Result<core::ItemStates> VersionManager::DecodeVersion(
     const VersionId& id) const {
   SEED_ASSIGN_OR_RETURN(auto path, PathTo(id));
 
@@ -191,23 +191,30 @@ Result<std::unique_ptr<core::Database>> VersionManager::MaterializeView(
                               " missing from version store");
   }
   Decoder schema_dec(blob_it->second.data(), blob_it->second.size());
-  SEED_ASSIGN_OR_RETURN(schema::SchemaPtr schema,
+  core::ItemStates states;
+  SEED_ASSIGN_OR_RETURN(states.schema,
                         schema::SchemaCodec::Decode(&schema_dec));
 
-  auto view = std::make_unique<core::Database>(schema);
   for (const auto& [key, payload] : effective) {
     if (key.kind() == ItemKey::kObject) {
       SEED_ASSIGN_OR_RETURN(core::ObjectItem obj,
                             ItemCodec::DecodeObjectFromString(*payload));
-      view->RestoreObject(std::move(obj));
+      states.objects[obj.id] = std::move(obj);
     } else {
       SEED_ASSIGN_OR_RETURN(
           core::RelationshipItem rel,
           ItemCodec::DecodeRelationshipFromString(*payload));
-      view->RestoreRelationship(std::move(rel));
+      states.relationships[rel.id] = std::move(rel);
     }
   }
-  view->RebuildIndexes();
+  return states;
+}
+
+Result<std::unique_ptr<core::Database>> VersionManager::MaterializeView(
+    const VersionId& id) const {
+  SEED_ASSIGN_OR_RETURN(core::ItemStates states, DecodeVersion(id));
+  auto view = std::make_unique<core::Database>(states.schema);
+  view->WriteItemStates(std::move(states));
   view->ClearChangeTracking();
   return view;
 }
@@ -233,22 +240,19 @@ Result<std::shared_ptr<const core::Database>> VersionManager::PinView(
 }
 
 Status VersionManager::SelectVersion(const VersionId& id) {
-  SEED_ASSIGN_OR_RETURN(auto view, MaterializeView(id));
-  // Replace the working state. Id watermarks must keep growing past every
-  // id ever issued, so versions never collide on item ids.
-  std::uint64_t next_obj = db_->object_ids().next_raw();
-  std::uint64_t next_rel = db_->relationship_ids().next_raw();
-  db_->ResetSchemaTrusted(view->schema());
-  db_->ClearContents();
-  for (const auto& [oid, obj] : view->objects_raw()) {
-    db_->RestoreObject(obj);
+  // Decode straight into the working state: drop the working items the
+  // version lacks and overwrite the rest. Id generators only ever move
+  // forward, so versions never collide on item ids.
+  SEED_ASSIGN_OR_RETURN(core::ItemStates states, DecodeVersion(id));
+  for (const auto& [oid, obj] : db_->objects_raw()) {
+    if (states.objects.count(oid) == 0) states.erased_objects.push_back(oid);
   }
-  for (const auto& [rid, rel] : view->relationships_raw()) {
-    db_->RestoreRelationship(rel);
+  for (const auto& [rid, rel] : db_->relationships_raw()) {
+    if (states.relationships.count(rid) == 0) {
+      states.erased_relationships.push_back(rid);
+    }
   }
-  db_->RebuildIndexes();
-  db_->object_ids().ReserveThrough(ObjectId(next_obj - 1));
-  db_->relationship_ids().ReserveThrough(RelationshipId(next_rel - 1));
+  db_->WriteItemStates(std::move(states));
   db_->ClearChangeTracking();
   basis_ = id;
   static obs::Counter* restores = obs::MetricsRegistry::Global().GetCounter(

@@ -161,6 +161,10 @@ class VersionManager {
   /// Chain of records from the root to `id` (inclusive).
   Result<std::vector<const VersionRecord*>> PathTo(const VersionId& id) const;
 
+  /// The raw item states of version `id`, decoded under (and carrying)
+  /// the schema it was frozen with.
+  Result<core::ItemStates> DecodeVersion(const VersionId& id) const;
+
   Status FreezeAs(const VersionId& id);
 
   core::Database* db_;

@@ -295,20 +295,22 @@ TEST_F(ConsistencyTest, DetachProceduresStopsVeto) {
 // --- Audit agrees with incremental checks ------------------------------------
 
 TEST_F(ConsistencyTest, AuditDetectsHandCraftedViolation) {
-  // Bypass the API via RestoreObject to inject a duplicate name, then make
-  // sure AuditConsistency sees it (and clean it up for TearDown).
+  // Bypass the API via WriteItemStates to inject a duplicate name, then
+  // make sure AuditConsistency sees it (and erase it again for TearDown).
   ObjectId a = *db_->CreateObject(ids_.data, "Alarms");
   ObjectItem rogue;
   rogue.id = ObjectId(9999);
   rogue.cls = ids_.data;
   rogue.name = "Alarms";
-  db_->RestoreObject(rogue);
-  db_->RebuildIndexes();
+  ItemStates inject;
+  inject.objects.emplace(rogue.id, rogue);
+  db_->WriteItemStates(std::move(inject));
   Report audit = db_->AuditConsistency();
   EXPECT_FALSE(audit.clean());
   EXPECT_FALSE(audit.Of(Rule::kNameConflict).empty());
-  db_->EraseObjectTrusted(ObjectId(9999));
-  db_->RebuildIndexes();
+  ItemStates cleanup;
+  cleanup.erased_objects.push_back(rogue.id);
+  db_->WriteItemStates(std::move(cleanup));
   (void)a;
 }
 

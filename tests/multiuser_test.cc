@@ -5,6 +5,7 @@
 
 #include "multiuser/client.h"
 #include "multiuser/server.h"
+#include "obs/metrics.h"
 #include "spades/spec_schema.h"
 
 namespace seed::multiuser {
@@ -195,6 +196,59 @@ TEST_F(MultiuserTest, InconsistentCheckinRolledBack) {
   EXPECT_EQ(server_->master()->objects_raw().count(ObjectId(stripe + 1)), 0u);
   EXPECT_TRUE(server_->master()->AuditConsistency().clean());
   EXPECT_EQ(server_->master()->ObjectsOfClass(ids_.action).size(), 1u);
+}
+
+TEST_F(MultiuserTest, CheckinPhasesAreTimed) {
+  auto count = [](const char* name) -> std::uint64_t {
+    const obs::Histogram* hist =
+        obs::MetricsRegistry::Global().FindHistogram(name);
+    return hist == nullptr ? 0 : hist->count();
+  };
+  const std::uint64_t apply0 = count("server.checkin.apply.ns");
+  const std::uint64_t audit0 = count("server.checkin.audit.ns");
+  const std::uint64_t publish0 = count("server.checkin.publish.ns");
+
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  constexpr int kCommits = 3;
+  for (int i = 0; i < kCommits; ++i) {
+    ASSERT_TRUE(alice.CheckoutByName({"Alarms"}).ok());
+    ASSERT_TRUE(alice.local()
+                    ->CreateObject(ids_.action, "Step" + std::to_string(i))
+                    .ok());
+    ASSERT_TRUE(alice.Checkin().ok());
+  }
+  // One audit rejection (a duplicate name) reaches apply and audit only.
+  CheckinBundle bundle;
+  core::ObjectItem dup;
+  dup.id = ObjectId(*server_->IdStripeBase(alice.id()) + 1000);
+  dup.cls = ids_.action;
+  dup.name = "Sensor";
+  bundle.objects.push_back(dup);
+  EXPECT_TRUE(server_->Checkin(alice.id(), bundle).IsConsistencyViolation());
+  // A lock rejection reaches none of the phases.
+  CheckinBundle unlocked;
+  unlocked.objects.push_back(server_->master()->objects_raw().at(sensor_));
+  EXPECT_TRUE(server_->Checkin(alice.id(), unlocked).IsLockConflict());
+
+  EXPECT_EQ(count("server.checkin.apply.ns") - apply0, kCommits + 1u);
+  EXPECT_EQ(count("server.checkin.audit.ns") - audit0, kCommits + 1u);
+  EXPECT_EQ(count("server.checkin.publish.ns") - publish0, kCommits + 0u);
+}
+
+TEST_F(MultiuserTest, CommittedItemsStayTrackedForGlobalVersions) {
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  ASSERT_TRUE(alice.CheckoutByName({"Alarms"}).ok());
+  ObjectId local_alarms = *alice.local()->FindObjectByName("Alarms");
+  ASSERT_TRUE(alice.local()->Rename(local_alarms, "Alerts").ok());
+  ASSERT_TRUE(alice.Checkin().ok());
+  EXPECT_EQ(server_->master()->changed_objects().count(alarms_), 1u);
+  auto v = server_->global_versions()->CreateVersion();
+  ASSERT_TRUE(v.ok());
+  const version::VersionRecord* rec =
+      *server_->global_versions()->GetRecord(*v);
+  EXPECT_EQ(rec->changes.count(version::ItemKey::Object(alarms_)), 1u);
 }
 
 TEST_F(MultiuserTest, AbandonReleasesLocks) {
