@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <iterator>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -15,6 +16,13 @@ namespace {
 template <typename T>
 void EraseFrom(std::vector<T>& v, const T& value) {
   v.erase(std::remove(v.begin(), v.end(), value), v.end());
+}
+
+/// Removes the links from `key` to `id`.
+template <typename Map, typename Key>
+void Unlink(Map& map, const Key& key, ObjectId id) {
+  auto [it, end] = map.equal_range(key);
+  while (it != end) it = it->second == id ? map.erase(it) : std::next(it);
 }
 
 // Mutation counters fire on the success path only — after attached
@@ -55,20 +63,42 @@ void CountReclassify() {
   reclassifies->Increment();
 }
 
-/// Writes `states` over `table`, replacing same-id items. New ids move
-/// their nodes across instead of copying them.
+/// Writes `states` over `table` in id order, replacing same-id items; new
+/// ids' nodes move across instead of being copied. Returns the written
+/// positions in id order.
 template <typename Map>
-void OverwriteItems(Map& table, Map& states) {
-  table.merge(states);  // leaves behind the ids `table` already holds
-  for (auto& [id, item] : states) table.insert_or_assign(id, std::move(item));
+std::vector<typename Map::iterator> OverwriteItems(Map& table, Map& states) {
+  std::vector<typename Map::iterator> written;
+  written.reserve(states.size());
+  while (!states.empty()) {
+    auto result = table.insert(states.extract(states.begin()));
+    if (!result.inserted) {
+      result.position->second = std::move(result.node.mapped());
+    }
+    written.push_back(result.position);
+  }
+  return written;
+}
+
+std::uint64_t NextInstanceId() {
+  static std::atomic<std::uint64_t> next_instance_id{1};
+  return next_instance_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
 
-Database::Database(schema::SchemaPtr schema) : schema_(std::move(schema)) {
+Database::Database(schema::SchemaPtr schema)
+    : schema_(std::move(schema)), instance_id_(NextInstanceId()) {
   assert(schema_ != nullptr);
-  static std::atomic<std::uint64_t> next_instance_id{1};
-  instance_id_ = next_instance_id.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::unique_ptr<Database> Database::Copy() const {
+  std::unique_ptr<Database> copy(new Database(*this));
+  copy->instance_id_ = NextInstanceId();
+  copy->ClearChangeTracking();
+  copy->class_procedures_.clear();
+  copy->assoc_procedures_.clear();
+  return copy;
 }
 
 ObjectItem* Database::MutableObject(ObjectId id) {
@@ -102,18 +132,41 @@ Result<const RelationshipItem*> Database::GetRelationship(
 
 void Database::IndexObject(const ObjectItem& obj) {
   if (obj.deleted) return;
+  // A name or child key already held by a live item stays with it: only a
+  // rejected check-in ever indexes a clash, and its rollback then leaves
+  // the holder's entry in place (UnindexObject erases only its own).
   if (obj.is_independent()) {
-    (obj.is_pattern ? pattern_name_index_ : name_index_)[obj.name] = obj.id;
+    (obj.is_pattern ? pattern_name_index_ : name_index_)
+        .try_emplace(obj.name, obj.id);
   }
   if (obj.parent_kind == ParentKind::kObject) {
-    children_by_key_[obj.parent_object][{obj.cls.raw(), obj.index}] = obj.id;
+    children_by_key_[obj.parent_object].try_emplace(
+        {obj.cls.raw(), obj.index}, obj.id);
+    linked_objects_.emplace(obj.parent_object, obj.id);
+  } else if (obj.parent_kind == ParentKind::kRelationship) {
+    attributes_of_.emplace(obj.parent_relationship, obj.id);
   }
+  for (ObjectId child : obj.children) linked_objects_.emplace(child, obj.id);
   by_class_[obj.cls].push_back(obj.id);
   if (!obj.is_pattern) extent_counters_.AddObject(obj.cls);
   ++live_objects_;
 }
 
-void Database::UnindexObject(const ObjectItem& obj) {
+/// Ids leaving by_class_, by_assoc_, rels_by_object_ and the link indexes
+/// in one bulk write, erased with one pass over each list (or each key's
+/// links) they sit in: one EraseFrom per id would be quadratic for a
+/// whole-database batch.
+struct Database::ListRemovals {
+  std::unordered_set<ObjectId> objects;
+  std::unordered_set<RelationshipId> relationships;
+  std::unordered_set<ClassId> classes;
+  std::unordered_set<AssociationId> assocs;
+  std::unordered_set<ObjectId> ends;
+  std::unordered_set<ObjectId> linked;
+  std::unordered_set<RelationshipId> owners;
+};
+
+void Database::UnindexObject(const ObjectItem& obj, ListRemovals* deferred) {
   if (obj.is_independent()) {
     auto& idx = obj.is_pattern ? pattern_name_index_ : name_index_;
     auto it = idx.find(obj.name);
@@ -129,7 +182,24 @@ void Database::UnindexObject(const ObjectItem& obj) {
       if (it->second.empty()) children_by_key_.erase(it);
     }
   }
-  EraseFrom(by_class_[obj.cls], obj.id);
+  if (deferred != nullptr) {
+    deferred->objects.insert(obj.id);
+    deferred->classes.insert(obj.cls);
+    if (obj.parent_kind == ParentKind::kObject) {
+      deferred->linked.insert(obj.parent_object);
+    } else if (obj.parent_kind == ParentKind::kRelationship) {
+      deferred->owners.insert(obj.parent_relationship);
+    }
+    deferred->linked.insert(obj.children.begin(), obj.children.end());
+  } else {
+    EraseFrom(by_class_[obj.cls], obj.id);
+    if (obj.parent_kind == ParentKind::kObject) {
+      Unlink(linked_objects_, obj.parent_object, obj.id);
+    } else if (obj.parent_kind == ParentKind::kRelationship) {
+      Unlink(attributes_of_, obj.parent_relationship, obj.id);
+    }
+    for (ObjectId child : obj.children) Unlink(linked_objects_, child, obj.id);
+  }
   if (!obj.is_pattern) extent_counters_.RemoveObject(obj.cls);
   --live_objects_;
 }
@@ -191,11 +261,19 @@ void Database::IndexRelationship(const RelationshipItem& rel) {
   ++live_relationships_;
 }
 
-void Database::UnindexRelationship(const RelationshipItem& rel) {
-  EraseFrom(by_assoc_[rel.assoc], rel.id);
-  EraseFrom(rels_by_object_[rel.ends[0]], rel.id);
-  if (rel.ends[1] != rel.ends[0]) {
-    EraseFrom(rels_by_object_[rel.ends[1]], rel.id);
+void Database::UnindexRelationship(const RelationshipItem& rel,
+                                   ListRemovals* deferred) {
+  if (deferred != nullptr) {
+    deferred->relationships.insert(rel.id);
+    deferred->assocs.insert(rel.assoc);
+    deferred->ends.insert(rel.ends[0]);
+    deferred->ends.insert(rel.ends[1]);
+  } else {
+    EraseFrom(by_assoc_[rel.assoc], rel.id);
+    EraseFrom(rels_by_object_[rel.ends[0]], rel.id);
+    if (rel.ends[1] != rel.ends[0]) {
+      EraseFrom(rels_by_object_[rel.ends[1]], rel.id);
+    }
   }
   if (!rel.is_pattern) {
     extent_counters_.RemoveRelationship(rel.assoc);
@@ -215,6 +293,8 @@ void Database::RebuildIndexes() {
   by_assoc_.clear();
   rels_by_object_.clear();
   children_by_key_.clear();
+  linked_objects_.clear();
+  attributes_of_.clear();
   extent_counters_.Clear();
   live_objects_ = 0;
   live_relationships_ = 0;
@@ -235,17 +315,139 @@ void Database::RebuildIndexes() {
   }
 }
 
+void Database::EraseListed(const ListRemovals& gone) {
+  auto erase_gone = [](auto& list, const auto& ids) {
+    list.erase(std::remove_if(list.begin(), list.end(),
+                              [&ids](auto id) { return ids.count(id) != 0; }),
+               list.end());
+  };
+  for (ClassId cls : gone.classes) erase_gone(by_class_[cls], gone.objects);
+  for (AssociationId assoc : gone.assocs) {
+    erase_gone(by_assoc_[assoc], gone.relationships);
+  }
+  for (ObjectId end : gone.ends) {
+    erase_gone(rels_by_object_[end], gone.relationships);
+  }
+  auto unlink_gone = [&gone](auto& map, const auto& keys) {
+    for (const auto& key : keys) {
+      auto [it, end] = map.equal_range(key);
+      while (it != end) {
+        it = gone.objects.count(it->second) != 0 ? map.erase(it)
+                                                 : std::next(it);
+      }
+    }
+  };
+  unlink_gone(linked_objects_, gone.linked);
+  unlink_gone(attributes_of_, gone.owners);
+}
+
 void Database::WriteItemStates(ItemStates states) {
+  // A different schema can move every class family, role and index
+  // coverage, so such a batch derives everything, as MigrateToSchema does.
+  const bool rederive = states.schema != nullptr && states.schema != schema_;
   if (states.schema != nullptr) schema_ = std::move(states.schema);
+
+  // Items besides the written live ones whose attribute-index entries may
+  // change: written items that existed before (their old entries go if
+  // they left the index), and the owners of written sub-objects before
+  // and after the write (role-keyed entries derive from sub-object values).
+  const bool refresh = !rederive && !attr_indexes_.empty();
+  std::vector<ObjectId> refresh_objects;
+  std::vector<RelationshipId> refresh_relationships;
+  auto note_owner = [&](const ObjectItem& obj) {
+    if (!refresh) return;
+    if (obj.parent_kind == ParentKind::kObject &&
+        states.objects.count(obj.parent_object) == 0) {
+      refresh_objects.push_back(obj.parent_object);
+    } else if (obj.parent_kind == ParentKind::kRelationship &&
+               states.relationships.count(obj.parent_relationship) == 0) {
+      refresh_relationships.push_back(obj.parent_relationship);
+    }
+  };
+
+  if (!rederive) {
+    // Old live states leave the derived structures first; relationships
+    // before objects, while their ends still have the classes the degree
+    // counts were filed under.
+    ListRemovals gone;
+    auto unindex_rel = [&](RelationshipId id) {
+      auto it = relationships_.find(id);
+      if (it == relationships_.end()) return;
+      if (refresh) refresh_relationships.push_back(id);
+      if (!it->second.deleted) UnindexRelationship(it->second, &gone);
+    };
+    for (const auto& [id, rel] : states.relationships) unindex_rel(id);
+    for (RelationshipId id : states.erased_relationships) unindex_rel(id);
+    auto unindex_obj = [&](ObjectId id) {
+      auto it = objects_.find(id);
+      if (it == objects_.end()) return;
+      if (refresh) refresh_objects.push_back(id);
+      note_owner(it->second);
+      if (!it->second.deleted) UnindexObject(it->second, &gone);
+    };
+    for (const auto& [id, obj] : states.objects) {
+      unindex_obj(id);
+      note_owner(obj);
+    }
+    for (ObjectId id : states.erased_objects) unindex_obj(id);
+    EraseListed(gone);
+    // Live relationships outside the batch keep their ends' degree counts
+    // under the class each end has after the write.
+    auto move_ends = [this](ObjectId id, ClassId to) {
+      auto it = rels_by_object_.find(id);
+      if (it == rels_by_object_.end() || it->second.empty()) return;
+      ClassId from = EndClass(id);
+      if (from != to) MoveParticipantCounts(id, from, to);
+    };
+    for (const auto& [id, obj] : states.objects) move_ends(id, obj.cls);
+    for (ObjectId id : states.erased_objects) move_ends(id, ClassId());
+  }
+
   for (ObjectId id : states.erased_objects) objects_.erase(id);
   for (RelationshipId id : states.erased_relationships) {
     relationships_.erase(id);
   }
-  for (const auto& [id, obj] : states.objects) Touch(id);
-  for (const auto& [id, rel] : states.relationships) Touch(id);
-  OverwriteItems(objects_, states.objects);
-  OverwriteItems(relationships_, states.relationships);
-  RebuildIndexes();
+  const auto objects = OverwriteItems(objects_, states.objects);
+  const auto relationships =
+      OverwriteItems(relationships_, states.relationships);
+  for (auto it : objects) Touch(it->first);
+  for (auto it : relationships) Touch(it->first);
+  if (rederive) {
+    RebuildIndexes();
+    return;
+  }
+
+  // New states enter in id order: on an empty database this is exactly
+  // the RebuildIndexes pass.
+  for (auto it : objects) {
+    IndexObject(it->second);
+    object_ids_.ReserveThrough(it->first);
+  }
+  for (auto it : relationships) {
+    IndexRelationship(it->second);
+    relationship_ids_.ReserveThrough(it->first);
+  }
+  if (!refresh) return;
+  for (auto it : objects) {
+    if (!it->second.deleted && !it->second.is_pattern) {
+      RefreshAttrIndexes(it->first);
+    }
+  }
+  for (auto it : relationships) {
+    if (!it->second.deleted && !it->second.is_pattern) {
+      RefreshRelAttrIndexes(it->first);
+    }
+  }
+  std::sort(refresh_objects.begin(), refresh_objects.end());
+  refresh_objects.erase(
+      std::unique(refresh_objects.begin(), refresh_objects.end()),
+      refresh_objects.end());
+  for (ObjectId id : refresh_objects) RefreshAttrIndexes(id);
+  std::sort(refresh_relationships.begin(), refresh_relationships.end());
+  refresh_relationships.erase(
+      std::unique(refresh_relationships.begin(), refresh_relationships.end()),
+      refresh_relationships.end());
+  for (RelationshipId id : refresh_relationships) RefreshRelAttrIndexes(id);
 }
 
 void Database::RestoreObject(ObjectItem item) {
@@ -404,6 +606,7 @@ Result<ObjectId> Database::CreateSubObjectImpl(ParentKind kind,
   ObjectId id = obj.id;
   objects_[id] = std::move(obj);
   siblings->push_back(id);
+  if (kind == ParentKind::kObject) linked_objects_.emplace(id, pobj);
   IndexObject(objects_[id]);
   Touch(id);
   if (kind == ParentKind::kObject) {
@@ -419,6 +622,7 @@ Result<ObjectId> Database::CreateSubObjectImpl(ParentKind kind,
     if (!veto.ok()) {
       UnindexObject(objects_[id]);
       EraseFrom(*siblings, id);
+      if (kind == ParentKind::kObject) Unlink(linked_objects_, id, pobj);
       objects_.erase(id);
       changed_objects_.erase(id);
       return veto;

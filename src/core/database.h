@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -76,8 +77,8 @@ struct CreateOptions {
 };
 
 /// A batch of raw item states, tombstones included, keyed like the raw
-/// tables: what snapshot capture, version views and restores, Load,
-/// checkout import and check-in write through Database::WriteItemStates.
+/// tables: what version views and restores, Load, checkout import and
+/// check-in write through Database::WriteItemStates.
 struct ItemStates {
   std::map<ObjectId, ObjectItem> objects;
   std::map<RelationshipId, RelationshipItem> relationships;
@@ -94,7 +95,6 @@ class Database {
  public:
   explicit Database(schema::SchemaPtr schema);
 
-  Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
@@ -194,6 +194,14 @@ class Database {
   std::vector<ObjectId> SubObjects(RelationshipId parent,
                                    std::string_view role = {}) const;
 
+  /// The live objects whose consistency rules read object `id`: those
+  /// that name it as their parent or list it among their children,
+  /// whether or not the lists agree with the parent links. Sorted.
+  std::vector<ObjectId> ObjectsLinkedTo(ObjectId id) const;
+  /// The live attributes that name relationship `id` as their parent,
+  /// listed by it or not. Sorted.
+  std::vector<ObjectId> ObjectsLinkedTo(RelationshipId id) const;
+
   /// All live non-pattern independent objects.
   std::vector<ObjectId> AllIndependentObjects() const;
   /// All live pattern items (independent roots only).
@@ -237,15 +245,31 @@ class Database {
   /// association extent — the planner's cost-model input.
   const ExtentCounters& extent_counters() const { return extent_counters_; }
 
-  /// Trusted mutable access: register index specs here before
-  /// WriteItemStates() so its pass derives their entries too.
+  /// Trusted mutable access: register index specs here before the first
+  /// WriteItemStates() on an empty database so its pass derives their
+  /// entries too.
   index::IndexManager& attribute_indexes_mutable() { return attr_indexes_; }
 
   // --- Checking -------------------------------------------------------------
 
   /// Full consistency audit over the whole database. Always clean after
-  /// any sequence of accepted updates; exposed for tests and recovery.
+  /// any sequence of accepted updates; exposed for tests, recovery and
+  /// schema migration.
   Report AuditConsistency() const;
+
+  /// Consistency audit of the items a bulk write touched and of the items
+  /// whose rules read them: the objects that name a touched object as
+  /// their parent or list it as a child, the attributes of touched
+  /// relationships, the relationships of touched objects; the role maxima
+  /// of every touched object and touched relationship end; a cycle search
+  /// from each touched edge in an acyclic family; name clashes through the
+  /// name index. It is sound only if the database was clean before the
+  /// write: then it finds a violation exactly when AuditConsistency()
+  /// does. The multiuser check-in relies on that, since it audits every
+  /// commit.
+  Report AuditNeighbourhood(
+      const std::vector<ObjectId>& objects,
+      const std::vector<RelationshipId>& relationships) const;
 
   /// Explicit completeness check (minimum cardinalities, covering
   /// conditions, undefined values). Reports, never vetoes.
@@ -291,20 +315,36 @@ class Database {
   }
 
   /// The one bulk write path, for a fresh database and a live one alike:
-  /// adopts `states.schema` when set, erases the listed ids, writes every
-  /// state over the same-id item, then re-derives every retrieval map,
-  /// extent counter and attribute-index entry in one pass. Written ids
-  /// count as changed (callers building a fresh database clear change
-  /// tracking); id generators reserve through every item id and never
-  /// move back. Bypasses consistency checks; callers are trusted layers
-  /// that audit afterwards where it matters.
+  /// adopts `states.schema` when set, erases the listed ids and writes
+  /// every state over the same-id item. The derived state follows
+  /// incrementally: the old live states of the written and erased ids
+  /// leave the retrieval maps, extent counters and attribute indexes, the
+  /// new ones enter them, and so do the attribute entries of the owners of
+  /// written sub-objects and the degree counts of untouched relationships
+  /// whose end changed class. The work is O(batch) plus one pass over
+  /// each class, association, end and link list an item leaves; on an
+  /// empty database it is the single id-ordered pass of RebuildIndexes(). A
+  /// batch that adopts a different schema re-derives everything instead.
+  /// Erased ids must not also be written. Written ids count as changed
+  /// (callers building a fresh database clear change tracking); id
+  /// generators reserve through every written id and never move back.
+  /// Bypasses consistency checks; callers are trusted layers that audit
+  /// afterwards where it matters.
   void WriteItemStates(ItemStates states);
 
   /// Single-item writes for callers that batch their own; follow them
-  /// with RebuildIndexes(), the derivation pass of WriteItemStates().
+  /// with RebuildIndexes(), which re-derives every retrieval map, extent
+  /// counter and attribute-index entry from the raw items from scratch
+  /// (the reference the incremental WriteItemStates() must equal).
   void RestoreObject(ObjectItem item);
   void RestoreRelationship(RelationshipItem item);
   void RebuildIndexes();
+
+  /// A copy of the raw items, id watermarks and every derived structure,
+  /// made without re-deriving anything. It has a fresh instance_id (plan
+  /// cache entries never alias), empty change tracking and no attached
+  /// procedures; each attribute index starts with a fresh histogram.
+  std::unique_ptr<Database> Copy() const;
 
   /// Id generators, exposed so persistence can save/restore watermarks.
   IdGenerator<ObjectId>& object_ids() { return object_ids_; }
@@ -345,16 +385,37 @@ class Database {
   Status RunProcedures(ClassId cls, const UpdateEvent& event) const;
   Status RunProcedures(AssociationId assoc, const UpdateEvent& event) const;
 
+  // -- Consistency audit rules, one item each (database_checks.cc) --
+  /// Name -> first holder seen, for an audit that walks every object.
+  using NameHolders = std::unordered_map<std::string, ObjectId>;
+  /// Class membership, name, parent, maximum cardinality and value rules
+  /// of one live object. A name's holder comes from `names` when set (the
+  /// first object seen with it), otherwise from the name index.
+  void AuditObject(const ObjectItem& obj, NameHolders* names,
+                   Report* report) const;
+  /// Association, end and duplicate rules of one live relationship.
+  void AuditRelationship(const RelationshipItem& rel, Report* report) const;
+  /// Maximum participation of `obj` in `role` of `assoc`.
+  void AuditRoleMaximum(const schema::Association& info, AssociationId assoc,
+                        int role, ObjectId obj, Report* report) const;
+  static void AddCycleViolation(const schema::Association& info,
+                                Report* report);
+
   // -- Completeness helpers (database_checks.cc) --
   void CheckObjectCompleteness(const ObjectItem& obj, Report* report) const;
   void CheckRelationshipCompleteness(const RelationshipItem& rel,
                                      Report* report) const;
 
   // -- Index maintenance --
+  struct ListRemovals;
   void IndexObject(const ObjectItem& obj);
-  void UnindexObject(const ObjectItem& obj);
+  /// With `deferred`, the item's removal from by_class_ / by_assoc_ /
+  /// rels_by_object_ is recorded there for one EraseListed() pass.
+  void UnindexObject(const ObjectItem& obj, ListRemovals* deferred = nullptr);
   void IndexRelationship(const RelationshipItem& rel);
-  void UnindexRelationship(const RelationshipItem& rel);
+  void UnindexRelationship(const RelationshipItem& rel,
+                           ListRemovals* deferred = nullptr);
+  void EraseListed(const ListRemovals& gone);
   /// Class of a relationship end, tombstoned or not (degree statistics
   /// must see the class an end had when the relationship was indexed).
   ClassId EndClass(ObjectId id) const;
@@ -380,6 +441,10 @@ class Database {
   void RefreshAttrIndexesWithParent(ObjectId id);
   void RefreshAttrIndexParentOf(ObjectId id);
   void RefreshRelAttrIndexes(RelationshipId id);
+
+  /// A plain member-wise copy; Copy() then resets what a copy must not
+  /// share.
+  Database(const Database& other) = default;
 
   ObjectItem* MutableObject(ObjectId id);
   RelationshipItem* MutableRelationship(RelationshipId id);
@@ -408,9 +473,10 @@ class Database {
   std::unordered_map<ObjectId, std::vector<RelationshipId>> rels_by_object_;
 
   /// Live children of an object parent keyed by (class, index), so dotted
-  /// path resolution is O(1) per segment instead of O(children). Among
-  /// live children the pair is unique (NextChildIndex never hands out an
-  /// index a live sibling of the same class holds).
+  /// path resolution is O(1) per segment instead of O(children). The API
+  /// keeps the pair unique among live children (NextChildIndex never hands
+  /// out an index a live sibling of the same class holds); when a bulk
+  /// write repeats one, the first holder indexed keeps the key.
   struct ChildKey {
     std::uint64_t cls_raw;
     std::uint32_t index;
@@ -428,6 +494,12 @@ class Database {
   /// Finds the live child of `parent` with class `dep_cls` and `index`.
   ObjectId FindChildByKey(ObjectId parent, ClassId dep_cls,
                           std::uint32_t index) const;
+
+  /// ObjectsLinkedTo() unsorted, so that a check-in can audit what a
+  /// write reaches without walking the database (a parent's maximum
+  /// cardinalities count the classes of the children it lists).
+  std::unordered_multimap<ObjectId, ObjectId> linked_objects_;
+  std::unordered_multimap<RelationshipId, ObjectId> attributes_of_;
 
   /// User-defined secondary attribute indexes (maintained through every
   /// mutation path; definitions persist, entries are derived data).

@@ -3,13 +3,16 @@
 // Consistency rules (class membership, maximum cardinalities, ACYCLIC,
 // attached procedures, value types, duplicates, names) run incrementally
 // inside every mutating operation; AuditConsistency() re-derives all of
-// them from scratch for tests, recovery and schema migration.
+// them from scratch for tests, recovery and schema migration, and
+// AuditNeighbourhood() re-checks only what a bulk write touched (the
+// multiuser check-in).
 //
 // Completeness rules (minimum cardinalities, covering conditions,
 // undefined values) are evaluated only by the explicit CheckCompleteness()
 // operations and never veto an update.
 
 #include <algorithm>
+#include <set>
 
 #include "common/macros.h"
 #include "core/database.h"
@@ -217,119 +220,157 @@ Status Database::RunProcedures(AssociationId assoc,
   return Status::OK();
 }
 
-// --- Full consistency audit --------------------------------------------------
+// --- Consistency audits ------------------------------------------------------
+
+// Each rule is written once, as a check of one item, and shared by the
+// full audit and the neighbourhood audit; they differ only in which items
+// they visit (and in where the name rule finds a name's holder).
+
+void Database::AuditObject(const ObjectItem& obj, NameHolders* names,
+                           Report* report) const {
+  auto add = [report, &obj](Rule rule, std::string detail) {
+    report->violations.push_back(
+        Violation{rule, obj.id, RelationshipId(), std::move(detail)});
+  };
+  const ObjectId id = obj.id;
+  auto cls = schema_->GetClass(obj.cls);
+  if (!cls.ok()) {
+    add(Rule::kClassMembership, "object '" + FullName(id) +
+                                    "' has unknown class id " +
+                                    std::to_string(obj.cls.raw()));
+    return;
+  }
+  if (obj.is_independent()) {
+    if ((*cls)->is_dependent()) {
+      add(Rule::kClassMembership, "independent object '" + obj.name +
+                                      "' has dependent class '" +
+                                      (*cls)->full_name + "'");
+    }
+    ObjectId holder = id;
+    if (names != nullptr) {
+      holder = names->emplace(obj.name, id).first->second;
+    } else if (auto it = name_index_.find(obj.name); it != name_index_.end()) {
+      holder = it->second;
+    }
+    if (holder != id) {
+      add(Rule::kNameConflict,
+          "duplicate independent name '" + obj.name + "'");
+    }
+  } else if (obj.parent_kind == ParentKind::kObject) {
+    auto parent_it = objects_.find(obj.parent_object);
+    if (parent_it == objects_.end() || parent_it->second.deleted) {
+      add(Rule::kClassMembership,
+          "sub-object '" + FullName(id) + "' has no live parent");
+    } else {
+      auto resolved =
+          schema_->ResolveSubObjectRole(parent_it->second.cls, (*cls)->name);
+      if (!resolved.ok() || *resolved != obj.cls) {
+        add(Rule::kClassMembership,
+            "sub-object '" + FullName(id) +
+                "' is not a legal role of its parent's class");
+      }
+    }
+  } else {
+    auto parent_it = relationships_.find(obj.parent_relationship);
+    if (parent_it == relationships_.end() || parent_it->second.deleted) {
+      add(Rule::kClassMembership,
+          "attribute '" + FullName(id) + "' has no live relationship");
+    } else {
+      auto resolved = schema_->ResolveSubObjectRole(parent_it->second.assoc,
+                                                    (*cls)->name);
+      if (!resolved.ok() || *resolved != obj.cls) {
+        add(Rule::kClassMembership,
+            "attribute '" + FullName(id) +
+                "' is not a legal role of its relationship's association");
+      }
+    }
+  }
+  // Maximum cardinality over each dependent role.
+  for (ClassId dep : schema_->EffectiveDependentClassesOf(obj.cls)) {
+    auto dep_cls = schema_->GetClass(dep);
+    if (!(*dep_cls)->cardinality.unlimited_max()) {
+      size_t count = CountChildrenOfClass(obj.children, dep);
+      if (count > (*dep_cls)->cardinality.max) {
+        add(Rule::kMaxCardinality,
+            "object '" + FullName(id) + "' has " + std::to_string(count) +
+                " sub-objects in role '" + (*dep_cls)->full_name +
+                "' (max " + (*dep_cls)->cardinality.ToString() + ")");
+      }
+    }
+  }
+  Status vs = CheckValueConforms(**cls, obj.value);
+  if (!vs.ok()) add(Rule::kValueType, vs.message());
+}
+
+void Database::AuditRelationship(const RelationshipItem& rel,
+                                 Report* report) const {
+  auto add = [report, &rel](Rule rule, std::string detail) {
+    report->violations.push_back(
+        Violation{rule, ObjectId(), rel.id, std::move(detail)});
+  };
+  auto assoc = schema_->GetAssociation(rel.assoc);
+  if (!assoc.ok()) {
+    add(Rule::kClassMembership, "relationship has unknown association id " +
+                                    std::to_string(rel.assoc.raw()));
+    return;
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto end_it = objects_.find(rel.ends[i]);
+    if (end_it == objects_.end() || end_it->second.deleted) {
+      add(Rule::kClassMembership,
+          "relationship of '" + (*assoc)->name + "' has a dead end");
+      continue;
+    }
+    if (end_it->second.is_pattern) {
+      add(Rule::kPatternSeparation, "normal relationship of '" +
+                                        (*assoc)->name +
+                                        "' connects a pattern object");
+    }
+    if (!schema_->IsSameOrSpecializationOf(end_it->second.cls,
+                                           (*assoc)->roles[i].target)) {
+      add(Rule::kClassMembership,
+          "participant '" + FullName(rel.ends[i]) +
+              "' does not conform to role '" + (*assoc)->roles[i].name +
+              "' of '" + (*assoc)->name + "'");
+    }
+  }
+  if (DuplicateExists(rel.assoc, rel.ends[0], rel.ends[1], rel.id)) {
+    add(Rule::kDuplicateRelationship,
+        "duplicate relationship of '" + (*assoc)->name + "'");
+  }
+}
+
+void Database::AuditRoleMaximum(const schema::Association& info,
+                                AssociationId assoc, int role, ObjectId obj,
+                                Report* report) const {
+  const schema::Role& r = info.roles[role];
+  size_t count = CountParticipation(obj, assoc, role);
+  if (count > r.cardinality.max) {
+    report->violations.push_back(Violation{
+        Rule::kRoleMaxParticipation, obj, RelationshipId(),
+        "object '" + FullName(obj) + "' takes part in " +
+            std::to_string(count) + " relationships of '" + info.name +
+            "' as '" + r.name + "' (max " + r.cardinality.ToString() + ")"});
+  }
+}
+
+void Database::AddCycleViolation(const schema::Association& info,
+                                 Report* report) {
+  report->violations.push_back(
+      Violation{Rule::kAcyclic, ObjectId(), RelationshipId(),
+                "association '" + info.name + "' contains a cycle"});
+}
 
 Report Database::AuditConsistency() const {
   Report report;
-  auto add = [&report](Rule rule, ObjectId obj, RelationshipId rel,
-                       std::string detail) {
-    report.violations.push_back(
-        Violation{rule, obj, rel, std::move(detail)});
-  };
-
-  std::unordered_map<std::string, ObjectId> names;
+  NameHolders names;
   for (const auto& [id, obj] : objects_) {
     if (obj.deleted || obj.is_pattern) continue;
-    auto cls = schema_->GetClass(obj.cls);
-    if (!cls.ok()) {
-      add(Rule::kClassMembership, id, RelationshipId(),
-          "object '" + FullName(id) + "' has unknown class id " +
-              std::to_string(obj.cls.raw()));
-      continue;
-    }
-    if (obj.is_independent()) {
-      if ((*cls)->is_dependent()) {
-        add(Rule::kClassMembership, id, RelationshipId(),
-            "independent object '" + obj.name + "' has dependent class '" +
-                (*cls)->full_name + "'");
-      }
-      auto [it, inserted] = names.emplace(obj.name, id);
-      if (!inserted) {
-        add(Rule::kNameConflict, id, RelationshipId(),
-            "duplicate independent name '" + obj.name + "'");
-      }
-    } else if (obj.parent_kind == ParentKind::kObject) {
-      auto parent_it = objects_.find(obj.parent_object);
-      if (parent_it == objects_.end() || parent_it->second.deleted) {
-        add(Rule::kClassMembership, id, RelationshipId(),
-            "sub-object '" + FullName(id) + "' has no live parent");
-      } else {
-        auto resolved = schema_->ResolveSubObjectRole(
-            parent_it->second.cls, (*cls)->name);
-        if (!resolved.ok() || *resolved != obj.cls) {
-          add(Rule::kClassMembership, id, RelationshipId(),
-              "sub-object '" + FullName(id) +
-                  "' is not a legal role of its parent's class");
-        }
-      }
-    } else {
-      auto parent_it = relationships_.find(obj.parent_relationship);
-      if (parent_it == relationships_.end() || parent_it->second.deleted) {
-        add(Rule::kClassMembership, id, RelationshipId(),
-            "attribute '" + FullName(id) + "' has no live relationship");
-      } else {
-        auto resolved = schema_->ResolveSubObjectRole(
-            parent_it->second.assoc, (*cls)->name);
-        if (!resolved.ok() || *resolved != obj.cls) {
-          add(Rule::kClassMembership, id, RelationshipId(),
-              "attribute '" + FullName(id) +
-                  "' is not a legal role of its relationship's association");
-        }
-      }
-    }
-    // Maximum cardinality over each dependent role.
-    for (ClassId dep :
-         schema_->EffectiveDependentClassesOf(obj.cls)) {
-      auto dep_cls = schema_->GetClass(dep);
-      if (!(*dep_cls)->cardinality.unlimited_max()) {
-        size_t count = CountChildrenOfClass(obj.children, dep);
-        if (count > (*dep_cls)->cardinality.max) {
-          add(Rule::kMaxCardinality, id, RelationshipId(),
-              "object '" + FullName(id) + "' has " + std::to_string(count) +
-                  " sub-objects in role '" + (*dep_cls)->full_name +
-                  "' (max " + (*dep_cls)->cardinality.ToString() + ")");
-        }
-      }
-    }
-    Status vs = CheckValueConforms(**cls, obj.value);
-    if (!vs.ok()) {
-      add(Rule::kValueType, id, RelationshipId(), vs.message());
-    }
+    AuditObject(obj, &names, &report);
   }
-
   for (const auto& [id, rel] : relationships_) {
     if (rel.deleted || rel.is_pattern) continue;
-    auto assoc = schema_->GetAssociation(rel.assoc);
-    if (!assoc.ok()) {
-      add(Rule::kClassMembership, ObjectId(), id,
-          "relationship has unknown association id " +
-              std::to_string(rel.assoc.raw()));
-      continue;
-    }
-    for (int i = 0; i < 2; ++i) {
-      auto end_it = objects_.find(rel.ends[i]);
-      if (end_it == objects_.end() || end_it->second.deleted) {
-        add(Rule::kClassMembership, ObjectId(), id,
-            "relationship of '" + (*assoc)->name + "' has a dead end");
-        continue;
-      }
-      if (end_it->second.is_pattern) {
-        add(Rule::kPatternSeparation, ObjectId(), id,
-            "normal relationship of '" + (*assoc)->name +
-                "' connects a pattern object");
-      }
-      if (!schema_->IsSameOrSpecializationOf(end_it->second.cls,
-                                             (*assoc)->roles[i].target)) {
-        add(Rule::kClassMembership, ObjectId(), id,
-            "participant '" + FullName(rel.ends[i]) +
-                "' does not conform to role '" + (*assoc)->roles[i].name +
-                "' of '" + (*assoc)->name + "'");
-      }
-    }
-    if (DuplicateExists(rel.assoc, rel.ends[0], rel.ends[1], id)) {
-      add(Rule::kDuplicateRelationship, ObjectId(), id,
-          "duplicate relationship of '" + (*assoc)->name + "'");
-    }
+    AuditRelationship(rel, &report);
   }
 
   // Maximum role participation, per association and live object.
@@ -339,14 +380,7 @@ Report Database::AuditConsistency() const {
       const schema::Role& role = (*info)->roles[i];
       if (role.cardinality.unlimited_max()) continue;
       for (ObjectId obj : ObjectsOfClass(role.target, true)) {
-        size_t count = CountParticipation(obj, a, i);
-        if (count > role.cardinality.max) {
-          add(Rule::kRoleMaxParticipation, obj, RelationshipId(),
-              "object '" + FullName(obj) + "' takes part in " +
-                  std::to_string(count) + " relationships of '" +
-                  (*info)->name + "' as '" + role.name + "' (max " +
-                  role.cardinality.ToString() + ")");
-        }
+        AuditRoleMaximum(**info, a, i, obj, &report);
       }
     }
   }
@@ -386,9 +420,82 @@ Report Database::AuditConsistency() const {
         if (--indegree[next] == 0) queue.push_back(next);
       }
     }
-    if (visited_edges != num_edges) {
-      add(Rule::kAcyclic, ObjectId(), RelationshipId(),
-          "association '" + (*info)->name + "' contains a cycle");
+    if (visited_edges != num_edges) AddCycleViolation(**info, &report);
+  }
+  return report;
+}
+
+Report Database::AuditNeighbourhood(
+    const std::vector<ObjectId>& objects,
+    const std::vector<RelationshipId>& relationships) const {
+  // Items whose object rules, relationship rules or role maxima read a
+  // touched item. Ordered sets keep the report in id order.
+  std::set<ObjectId> objs;
+  std::set<RelationshipId> rels;
+  std::set<ObjectId> participants;
+  for (ObjectId id : objects) {
+    objs.insert(id);
+    participants.insert(id);
+    for (ObjectId linked : ObjectsLinkedTo(id)) objs.insert(linked);
+    if (auto it = rels_by_object_.find(id); it != rels_by_object_.end()) {
+      rels.insert(it->second.begin(), it->second.end());
+    }
+  }
+  for (RelationshipId id : relationships) {
+    rels.insert(id);
+    for (ObjectId attr : ObjectsLinkedTo(id)) objs.insert(attr);
+    if (auto it = relationships_.find(id); it != relationships_.end()) {
+      participants.insert(it->second.ends[0]);
+      participants.insert(it->second.ends[1]);
+    }
+  }
+
+  auto live = [](const auto& table, auto id) {
+    auto it = table.find(id);
+    return it == table.end() || it->second.deleted || it->second.is_pattern
+               ? nullptr
+               : &it->second;
+  };
+  Report report;
+  for (ObjectId id : objs) {
+    if (const ObjectItem* obj = live(objects_, id)) {
+      AuditObject(*obj, nullptr, &report);
+    }
+  }
+  for (RelationshipId id : rels) {
+    if (const RelationshipItem* rel = live(relationships_, id)) {
+      AuditRelationship(*rel, &report);
+    }
+  }
+  const std::vector<AssociationId> assocs = schema_->AllAssociationIds();
+  for (ObjectId id : participants) {
+    const ObjectItem* obj = live(objects_, id);
+    if (obj == nullptr) continue;
+    for (AssociationId a : assocs) {
+      auto info = schema_->GetAssociation(a);
+      for (int i = 0; i < 2; ++i) {
+        const schema::Role& role = (*info)->roles[i];
+        if (role.cardinality.unlimited_max() ||
+            !schema_->IsSameOrSpecializationOf(obj->cls, role.target)) {
+          continue;
+        }
+        AuditRoleMaximum(**info, a, i, id, &report);
+      }
+    }
+  }
+  // The database was acyclic before, so any cycle runs through a touched
+  // edge: search from each one, once per acyclic family.
+  std::set<AssociationId> cyclic;
+  for (RelationshipId id : relationships) {
+    const RelationshipItem* rel = live(relationships_, id);
+    if (rel == nullptr) continue;
+    for (AssociationId a : schema_->GeneralizationChain(rel->assoc)) {
+      auto info = schema_->GetAssociation(a);
+      if (!info.ok() || !(*info)->acyclic || cyclic.count(a) != 0) continue;
+      if (WouldCreateCycle(a, rel->ends[0], rel->ends[1], id)) {
+        cyclic.insert(a);
+        AddCycleViolation(**info, &report);
+      }
     }
   }
   return report;

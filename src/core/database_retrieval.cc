@@ -191,6 +191,16 @@ std::vector<ObjectId> CollectSubObjects(
   return out;
 }
 
+template <typename Map, typename Key>
+std::vector<ObjectId> SortedLinks(const Map& map, const Key& key) {
+  std::vector<ObjectId> out;
+  auto [begin, end] = map.equal_range(key);
+  for (auto it = begin; it != end; ++it) out.push_back(it->second);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 }  // namespace
 
 std::vector<ObjectId> Database::SubObjects(ObjectId parent,
@@ -205,6 +215,14 @@ std::vector<ObjectId> Database::SubObjects(RelationshipId parent,
   auto it = relationships_.find(parent);
   if (it == relationships_.end()) return {};
   return CollectSubObjects(objects_, *schema_, it->second.children, role);
+}
+
+std::vector<ObjectId> Database::ObjectsLinkedTo(ObjectId id) const {
+  return SortedLinks(linked_objects_, id);
+}
+
+std::vector<ObjectId> Database::ObjectsLinkedTo(RelationshipId id) const {
+  return SortedLinks(attributes_of_, id);
 }
 
 std::vector<ObjectId> Database::AllIndependentObjects() const {

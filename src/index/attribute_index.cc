@@ -49,6 +49,18 @@ std::string IndexSpec::ToString() const {
   return s;
 }
 
+AttributeIndex::AttributeIndex(const AttributeIndex& other)
+    : spec_(other.spec_),
+      ordered_(other.ordered_),
+      keys_of_(other.keys_of_),
+      num_entries_(other.num_entries_),
+      mutations_(other.mutations_) {
+  hash_.reserve(ordered_.size());
+  for (auto it = ordered_.begin(); it != ordered_.end(); ++it) {
+    hash_.emplace(it->first, it);
+  }
+}
+
 void AttributeIndex::Insert(const core::Value& key, EntryId id) {
   auto it = hash_.find(key);
   if (it == hash_.end()) {

@@ -81,6 +81,12 @@ class AttributeIndex {
  public:
   explicit AttributeIndex(IndexSpec spec) : spec_(std::move(spec)) {}
 
+  /// Copies the postings and per-entry key lists; the copy's equality
+  /// probe points into its own ordered storage, and its histogram starts
+  /// unbuilt under a mutex of its own.
+  AttributeIndex(const AttributeIndex& other);
+  AttributeIndex& operator=(const AttributeIndex&) = delete;
+
   const IndexSpec& spec() const { return spec_; }
 
   /// Declares the complete key set of `id` (deduplicated internally);

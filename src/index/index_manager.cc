@@ -83,6 +83,15 @@ Status IndexManager::CreateIndex(const schema::Schema& schema,
   return Status::OK();
 }
 
+IndexManager::IndexManager(const IndexManager& other)
+    : num_rel_indexes_(other.num_rel_indexes_),
+      specs_dirty_(other.specs_dirty_) {
+  indexes_.reserve(other.indexes_.size());
+  for (const auto& idx : other.indexes_) {
+    indexes_.push_back(std::make_unique<AttributeIndex>(*idx));
+  }
+}
+
 void IndexManager::BackfillIndex(const schema::Schema& schema,
                                  const ObjectMap& objects,
                                  const RelationshipMap& relationships,

@@ -15,8 +15,9 @@
 // create/delete/reclassify and after mutations of relationship-attribute
 // sub-objects. Refresh recomputes the desired key set from scratch and
 // diffs it against the indexed state, so the calls are idempotent and
-// order-independent; bulk writes clear every entry and refresh each live
-// item once (Database::WriteItemStates).
+// order-independent; a bulk write refreshes each written item and the
+// owners of written sub-objects once (Database::WriteItemStates), and
+// RebuildIndexes clears every entry and refreshes each live item once.
 //
 // Reclassification migrates entries between extents for free: the desired
 // key set of an item is empty for every index whose coverage no longer
@@ -43,6 +44,13 @@ class IndexManager {
  public:
   using ObjectMap = std::map<ObjectId, core::ObjectItem>;
   using RelationshipMap = std::map<RelationshipId, core::RelationshipItem>;
+
+  IndexManager() = default;
+  /// Deep copy: every index with its entries (snapshot publication).
+  IndexManager(const IndexManager& other);
+  IndexManager& operator=(const IndexManager&) = delete;
+  IndexManager(IndexManager&&) = default;
+  IndexManager& operator=(IndexManager&&) = default;
 
   /// Fails when the class/association is unknown, when a non-empty role
   /// does not resolve on it under `schema`, or when a relationship spec

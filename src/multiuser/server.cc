@@ -1,6 +1,7 @@
 #include "multiuser/server.h"
 
 #include <algorithm>
+#include <set>
 #include <unordered_set>
 
 #include "common/macros.h"
@@ -81,12 +82,12 @@ Result<std::uint64_t> Server::IdStripeBase(ClientId client) const {
 
 // --- Snapshots ---------------------------------------------------------------
 
-void Server::PublishSnapshotLocked() {
+version::SnapshotPtr Server::PublishSnapshotLocked() {
   std::uint64_t epoch = snapshot_epoch_.load(std::memory_order_relaxed) + 1;
   version::SnapshotPtr snap = version::Snapshot::Capture(*master_, epoch);
   {
     common::MutexLock lock(snapshot_mu_);
-    current_snapshot_ = std::move(snap);
+    current_snapshot_.swap(snap);
   }
   snapshot_epoch_.store(epoch, std::memory_order_release);
   static obs::Counter* publishes = obs::MetricsRegistry::Global().GetCounter(
@@ -95,11 +96,13 @@ void Server::PublishSnapshotLocked() {
   static obs::Gauge* epoch_gauge =
       obs::MetricsRegistry::Global().GetGauge("server.snapshot.epoch");
   epoch_gauge->Set(static_cast<std::int64_t>(epoch));
+  return snap;
 }
 
 void Server::PublishSnapshot() {
+  version::SnapshotPtr displaced;  // dropped after the lock
   common::MutexLock lock(master_mu_);
-  PublishSnapshotLocked();
+  displaced = PublishSnapshotLocked();
 }
 
 version::SnapshotPtr Server::PinLatest() {
@@ -151,7 +154,9 @@ Status Server::RefreshSession(ClientId client) {
   if (it == clients_.end()) {
     return Status::NotFound("client " + std::to_string(client.raw()));
   }
-  it->second.snapshot = std::move(snap);
+  // The displaced pin may be the last one: swapped out, it is freed after
+  // the lock is dropped (declared before the lock, destroyed after it).
+  it->second.snapshot.swap(snap);
   CountSnapshotPin();
   return Status::OK();
 }
@@ -263,9 +268,27 @@ Result<CheckoutBundle> Server::Checkout(ClientId client,
         }
       }
       // Relationships whose both ends are in the bundle, plus their
-      // attribute subtrees.
-      for (const auto& [rid, rel] : master_->relationships_raw()) {
-        if (rel.deleted) continue;
+      // attribute subtrees, in relationship-id order. The candidates are
+      // the relationships of bundle objects; an attribute object joining
+      // the bundle adds its own, of which only the higher ids are still
+      // ahead (a lower one was decided before that object joined).
+      std::set<RelationshipId> candidates;
+      auto add_candidates = [&](ObjectId oid, RelationshipId after) {
+        for (RelationshipId rid : master_->RelationshipsOf(oid)) {
+          if (after < rid) candidates.insert(rid);
+        }
+        for (RelationshipId rid : master_->PatternRelationshipsOf(oid)) {
+          if (after < rid) candidates.insert(rid);
+        }
+      };
+      for (const core::ObjectItem& obj : bundle.objects) {
+        add_candidates(obj.id, RelationshipId());
+      }
+      while (!candidates.empty()) {
+        RelationshipId rid = *candidates.begin();
+        candidates.erase(candidates.begin());
+        const core::RelationshipItem& rel =
+            master_->relationships_raw().at(rid);
         if (in_bundle.count(rel.ends[0]) == 0 ||
             in_bundle.count(rel.ends[1]) == 0) {
           continue;
@@ -281,6 +304,7 @@ Result<CheckoutBundle> Server::Checkout(ClientId client,
           }
           if (!in_bundle.insert(oid).second) continue;
           bundle.objects.push_back(it->second);
+          add_candidates(oid, rid);
           work.insert(work.end(), it->second.children.begin(),
                       it->second.children.end());
         }
@@ -330,6 +354,8 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
   };
 
   std::uint64_t seq = 0;
+  // The snapshot the commit displaces; freed once both locks are dropped.
+  version::SnapshotPtr displaced;
   {
     common::MutexLock lock(master_mu_);
 
@@ -382,7 +408,17 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
       apply.relationships[rel.id] = rel;
     }
 
+    std::vector<ObjectId> touched_objects;
+    std::vector<RelationshipId> touched_relationships;
+    for (const auto& [id, obj] : apply.objects) touched_objects.push_back(id);
+    for (const auto& [id, rel] : apply.relationships) {
+      touched_relationships.push_back(id);
+    }
+
     // --- Apply as a single transaction, audit, roll back on violation --------
+    // Every commit is audited, so the master is clean before each bundle
+    // and auditing the bundle's neighbourhood finds a violation exactly
+    // when a full audit would.
     {
       obs::ScopedTimer timer(apply_ns);
       master_->WriteItemStates(std::move(apply));
@@ -390,9 +426,14 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
     core::Report audit;
     {
       obs::ScopedTimer timer(audit_ns);
-      audit = master_->AuditConsistency();
+      audit = master_->AuditNeighbourhood(touched_objects,
+                                          touched_relationships);
     }
     if (!audit.clean()) {
+      // A rejection reports what the full audit finds, as it always has;
+      // only a rejected bundle pays for the full pass.
+      core::Report full = master_->AuditConsistency();
+      if (!full.clean()) audit = std::move(full);
       master_->WriteItemStates(std::move(undo));
       // Locks are deliberately kept: the client can repair and retry.
       return reject(Status::ConsistencyViolation(
@@ -406,7 +447,7 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
     // Publish before releasing the stripes: the next checkout winner's
     // snapshot already contains this commit.
     obs::ScopedTimer timer(publish_ns);
-    PublishSnapshotLocked();
+    displaced = PublishSnapshotLocked();
   }
 
   // Success: release all locks held by this client and move its session

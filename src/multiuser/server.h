@@ -199,8 +199,11 @@ class Server {
   /// entry points, which each count one pin).
   version::SnapshotPtr PinLatest() SEED_EXCLUDES(master_mu_);
 
-  /// Captures and publishes the next snapshot; bumps the epoch.
-  void PublishSnapshotLocked() SEED_REQUIRES(master_mu_);
+  /// Captures and publishes the next snapshot; bumps the epoch. Returns
+  /// the displaced snapshot, so the caller can drop what may be its last
+  /// pin (an O(database) free) after releasing master_mu_.
+  [[nodiscard]] version::SnapshotPtr PublishSnapshotLocked()
+      SEED_REQUIRES(master_mu_);
 
   schema::SchemaPtr schema_;
   // Set once in the constructor and never reset. The pointees are

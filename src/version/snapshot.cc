@@ -1,26 +1,29 @@
 #include "version/snapshot.h"
 
+#include "obs/metrics.h"
+
 namespace seed::version {
+
+namespace {
+
+obs::Gauge* LiveGauge() {
+  static obs::Gauge* gauge =
+      obs::MetricsRegistry::Global().GetGauge("server.snapshot.live");
+  return gauge;
+}
+
+}  // namespace
+
+Snapshot::Snapshot(std::unique_ptr<core::Database> db, std::uint64_t epoch)
+    : db_(std::move(db)), epoch_(epoch) {
+  LiveGauge()->Add(1);
+}
+
+Snapshot::~Snapshot() { LiveGauge()->Add(-1); }
 
 SnapshotPtr Snapshot::Capture(const core::Database& source,
                               std::uint64_t epoch) {
-  auto db = std::make_unique<core::Database>(source.schema());
-  // Index specs first, so the one derivation pass fills their entries and
-  // probe-served queries plan identically on the snapshot and the master.
-  for (const auto& idx : source.attribute_indexes().indexes()) {
-    (void)db->attribute_indexes_mutable().CreateIndex(*source.schema(),
-                                                      idx->spec());
-  }
-  // Raw item states, tombstones included: a snapshot must replay the
-  // master byte-for-byte (deleted markers drive version history and keep
-  // id generators from re-issuing), not just its live view.
-  core::ItemStates states;
-  states.objects = source.objects_raw();
-  states.relationships = source.relationships_raw();
-  db->WriteItemStates(std::move(states));
-  // Readers never check in, so the copy's change tracking is noise.
-  db->ClearChangeTracking();
-  return SnapshotPtr(new Snapshot(std::move(db), epoch));
+  return SnapshotPtr(new Snapshot(source.Copy(), epoch));
 }
 
 }  // namespace seed::version

@@ -5,14 +5,17 @@
 // a monotonically increasing epoch. It is published as a
 // shared_ptr<const Snapshot>: pinning is a refcount bump, readers run
 // whole query workloads against the frozen state without ever touching a
-// writer's lock, and the copy is freed when the last pin drops.
+// writer's lock, and the copy is freed when the last pin drops. The
+// `server.snapshot.live` gauge counts the snapshots alive: the published
+// one plus every older epoch a reader still pins.
 //
-// Capture goes through the same seam as every other bulk path (version
-// views and restores, Load, checkout import, check-in):
-// core::Database::WriteItemStates. It registers the source's index specs,
-// writes a copy of its raw item states and derives every retrieval
-// structure in one pass. That is the only expensive step, so the server
-// captures once per commit and every reader shares the result.
+// Capture is one plain memory copy (core::Database::Copy): the raw item
+// tables, id watermarks, retrieval maps, extent counters and attribute
+// indexes are copied as they are, not re-derived. The copy gets a fresh
+// instance id, so plan-cache entries never alias between epochs, and
+// empty change tracking. It is still O(database) — the server captures
+// once per commit, under its master mutex, and every reader shares the
+// result; structural sharing between epochs would make it O(changed).
 
 #ifndef SEED_VERSION_SNAPSHOT_H_
 #define SEED_VERSION_SNAPSHOT_H_
@@ -30,8 +33,8 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 class Snapshot {
  public:
   /// Freezes a full copy of `source`: raw item states (tombstones
-  /// included, so id spaces and audits replay exactly), attribute-index
-  /// definitions, and rebuilt retrieval maps. The caller must serialize
+  /// included, so id spaces and audits replay exactly), attribute indexes
+  /// with their entries, and retrieval maps. The caller must serialize
   /// with writers of `source` — typically by capturing under the master
   /// mutex; the returned snapshot itself is immutable and safe to read
   /// from any number of threads concurrently.
@@ -46,10 +49,10 @@ class Snapshot {
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
+  ~Snapshot();
 
  private:
-  Snapshot(std::unique_ptr<core::Database> db, std::uint64_t epoch)
-      : db_(std::move(db)), epoch_(epoch) {}
+  Snapshot(std::unique_ptr<core::Database> db, std::uint64_t epoch);
 
   std::unique_ptr<core::Database> db_;
   std::uint64_t epoch_;

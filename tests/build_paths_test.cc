@@ -1,7 +1,10 @@
-// Differential test of the paths that build a database from raw item
-// states: snapshot capture, full save + load, version restore and a full
+// Differential test of the paths that build a database from another's
+// items: snapshot capture, full save + load, version restore and a full
 // checkout's import must each reproduce the source they copy, and a
 // check-in the audit rejects must leave the master exactly as it was.
+// Batches written into a live database must derive what a from-scratch
+// RebuildIndexes derives, and a checkout must ship the relationships a
+// full scan of the master finds.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/random.h"
@@ -17,6 +21,8 @@
 #include "core/persistence.h"
 #include "multiuser/client.h"
 #include "multiuser/server.h"
+#include "random_edits.h"
+#include "schema/schema_builder.h"
 #include "spades/spec_schema.h"
 #include "storage/kv_store.h"
 #include "version/snapshot.h"
@@ -27,6 +33,11 @@ namespace {
 
 using core::Database;
 using core::Value;
+using test_support::DerivedState;
+using test_support::RawItems;
+using test_support::RandomEdit;
+using test_support::RebuiltState;
+using test_support::TakeChanges;
 
 /// Everything a database derives from its raw items, plus the items.
 struct Fingerprint {
@@ -55,6 +66,50 @@ void ExpectSame(const Fingerprint& want, const Fingerprint& got,
 std::pair<std::uint64_t, std::uint64_t> Watermarks(const Database& db) {
   Database& mut = const_cast<Database&>(db);
   return {mut.object_ids().next_raw(), mut.relationship_ids().next_raw()};
+}
+
+/// Encoded items of a bundle, in bundle order.
+std::vector<std::string> Encoded(const multiuser::CheckoutBundle& bundle) {
+  std::vector<std::string> out;
+  for (const core::ObjectItem& obj : bundle.objects) {
+    out.push_back(core::ItemCodec::EncodeObjectToString(obj));
+  }
+  for (const core::RelationshipItem& rel : bundle.relationships) {
+    out.push_back(core::ItemCodec::EncodeRelationshipToString(rel));
+  }
+  return out;
+}
+
+/// A checkout bundle collected by scanning every relationship of the
+/// master: the roots' live subtrees, then each live relationship in id
+/// order whose ends are both in the bundle so far, followed into its
+/// attribute subtree.
+multiuser::CheckoutBundle ScanCheckout(const Database& master,
+                                       const std::vector<ObjectId>& roots) {
+  multiuser::CheckoutBundle bundle;
+  std::unordered_set<ObjectId> in_bundle;
+  auto take_subtree = [&](std::vector<ObjectId> work) {
+    while (!work.empty()) {
+      ObjectId oid = work.back();
+      work.pop_back();
+      auto it = master.objects_raw().find(oid);
+      if (it == master.objects_raw().end() || it->second.deleted) continue;
+      if (!in_bundle.insert(oid).second) continue;
+      bundle.objects.push_back(it->second);
+      work.insert(work.end(), it->second.children.begin(),
+                  it->second.children.end());
+    }
+  };
+  for (ObjectId root : roots) take_subtree({root});
+  for (const auto& [rid, rel] : master.relationships_raw()) {
+    if (rel.deleted || in_bundle.count(rel.ends[0]) == 0 ||
+        in_bundle.count(rel.ends[1]) == 0) {
+      continue;
+    }
+    bundle.relationships.push_back(rel);
+    take_subtree(rel.children);
+  }
+  return bundle;
 }
 
 class BuildPathsTest : public ::testing::Test {
@@ -364,6 +419,163 @@ TEST_F(BuildPathsTest, RejectedCheckinLeavesMasterByteIdentical) {
     EXPECT_TRUE(server.Checkin(client.id(), bundle).IsConsistencyViolation());
     ExpectSame(before, Take(*master, true), "rejected check-in");
     EXPECT_TRUE(master->AuditConsistency().clean());
+  }
+}
+
+TEST_F(BuildPathsTest, CopyHasItsOwnIdentity) {
+  Database db(schema_);
+  ObjectId action = *db.CreateObject(ids_.action, "A");
+  db.AttachProcedure(ids_.description, [](const core::UpdateEvent&) {
+    return Status::FailedPrecondition("no descriptions here");
+  });
+  std::unique_ptr<Database> copy = db.Copy();
+  EXPECT_NE(copy->instance_id(), db.instance_id());
+  EXPECT_FALSE(db.changed_objects().empty());
+  EXPECT_TRUE(copy->changed_objects().empty());
+  // Attached procedures stay with the source.
+  EXPECT_FALSE(db.CreateSubObject(action, "Description").ok());
+  EXPECT_TRUE(copy->CreateSubObject(action, "Description").ok());
+}
+
+TEST_F(BuildPathsTest, RebuildDropsLinksOfOverwrittenStates) {
+  Database db(schema_);
+  ObjectId from = *db.CreateObject(ids_.action, "From");
+  ObjectId to = *db.CreateObject(ids_.action, "To");
+  ObjectId desc = *db.CreateSubObject(from, "Description");
+  EXPECT_EQ(db.ObjectsLinkedTo(from), std::vector<ObjectId>{desc});
+  // Moved by a raw write: `from` still lists it, and only `to` is named.
+  core::ObjectItem moved = db.objects_raw().at(desc);
+  moved.parent_object = to;
+  db.RestoreObject(moved);
+  db.RebuildIndexes();
+  EXPECT_TRUE(db.ObjectsLinkedTo(from).empty());
+  EXPECT_EQ(db.ObjectsLinkedTo(to), std::vector<ObjectId>{desc});
+  EXPECT_EQ(db.ObjectsLinkedTo(desc), std::vector<ObjectId>{from});
+}
+
+// The long randomized cases, run as their own slow ctest entry.
+using BuildPathsRandomizedTest = BuildPathsTest;
+
+TEST_F(BuildPathsRandomizedTest, IncrementalWritesDeriveWhatARebuildDerives) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    int serial = 0;
+    // `edited` takes random edits through the API; `live` sees them only
+    // as batches of changed item states, the way a check-in writes them.
+    Database edited(schema_);
+    Database live(schema_);
+    for (Database* db : {&edited, &live}) {
+      ASSERT_TRUE(db->CreateAttributeIndex(Spec()).ok());
+      ASSERT_TRUE(db->CreateAttributeIndex({ids_.keywords, ""}).ok());
+      ASSERT_TRUE(db->CreateAttributeIndex(index::IndexSpec::ForAssociation(
+                                               ids_.write, "NumberOfWrites"))
+                      .ok());
+    }
+    for (int round = 0; round < 80; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const std::uint64_t edits = 1 + rng.Uniform(8);
+      for (std::uint64_t i = 0; i < edits; ++i) {
+        RandomEdit(ids_, &rng, &edited, &serial);
+      }
+      core::ItemStates batch = TakeChanges(&edited);
+      // The batch's undo: each item's prior state, or its erasure.
+      core::ItemStates undo;
+      for (const auto& [id, obj] : batch.objects) {
+        auto it = live.objects_raw().find(id);
+        if (it == live.objects_raw().end()) {
+          undo.erased_objects.push_back(id);
+        } else {
+          undo.objects.emplace(id, it->second);
+        }
+      }
+      for (const auto& [id, rel] : batch.relationships) {
+        auto it = live.relationships_raw().find(id);
+        if (it == live.relationships_raw().end()) {
+          undo.erased_relationships.push_back(id);
+        } else {
+          undo.relationships.emplace(id, it->second);
+        }
+      }
+      const auto raw_before = RawItems(live);
+      const auto derived_before = DerivedState(live);
+      core::ItemStates redo = batch;
+
+      live.WriteItemStates(std::move(batch));
+      ASSERT_EQ(RawItems(edited), RawItems(live));
+      ASSERT_EQ(RebuiltState(live), DerivedState(live));
+      EXPECT_EQ(DerivedState(edited), DerivedState(live));
+      EXPECT_EQ(Watermarks(edited), Watermarks(live));
+
+      if (round % 4 == 3) {  // undo round trip
+        live.WriteItemStates(std::move(undo));
+        EXPECT_EQ(raw_before, RawItems(live));
+        ASSERT_EQ(derived_before, DerivedState(live));
+        live.WriteItemStates(std::move(redo));
+        ASSERT_EQ(RebuiltState(live), DerivedState(live));
+      }
+    }
+    ASSERT_TRUE(live.AuditConsistency().clean());
+
+    // A whole-database batch that rewrites every item, some of them
+    // changed: every list an item leaves is rewritten at once.
+    for (int i = 0; i < 20; ++i) RandomEdit(ids_, &rng, &edited, &serial);
+    edited.ClearChangeTracking();
+    core::ItemStates all;
+    all.objects = edited.objects_raw();
+    all.relationships = edited.relationships_raw();
+    live.WriteItemStates(std::move(all));
+    EXPECT_EQ(RawItems(edited), RawItems(live));
+    EXPECT_EQ(RebuiltState(live), DerivedState(live));
+    EXPECT_EQ(DerivedState(edited), DerivedState(live));
+  }
+}
+
+TEST_F(BuildPathsRandomizedTest,
+       CheckoutShipsWhatAFullRelationshipScanFinds) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // Fig. 3 plus relationships between relationship attributes: a
+    // checkout ships one only once both attributes have joined the bundle.
+    auto builder = schema::SchemaBuilder::Evolve(*schema_);
+    AssociationId cites = builder.AddAssociation(
+        "Cites", schema::Role{"count", ids_.number_of_writes,
+                              schema::Cardinality::Any()},
+        schema::Role{"cited", ids_.number_of_writes,
+                     schema::Cardinality::Any()});
+    auto schema = builder.Build();
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    multiuser::Server server(*schema);
+    Database* master = server.master();
+    RunHistory(seed, master, server.global_versions());
+    // Pattern items and more relationship kinds on top of the history.
+    Random rng(seed);
+    int serial = 0;
+    for (int i = 0; i < 150; ++i) RandomEdit(ids_, &rng, master, &serial);
+    const std::vector<ObjectId> counts =
+        master->ObjectsOfClass(ids_.number_of_writes);
+    for (int i = 0; i < 20 && !counts.empty(); ++i) {
+      (void)master->CreateRelationship(cites, rng.Pick(counts),
+                                       rng.Pick(counts));
+    }
+    ASSERT_TRUE(master->AuditConsistency().clean());
+    ASSERT_FALSE(master->RelationshipsOfAssociation(cites).empty());
+
+    auto client = server.Connect("reader");
+    ASSERT_TRUE(client.ok());
+    std::vector<ObjectId> candidates = master->AllIndependentObjects();
+    for (ObjectId id : master->AllPatternRoots()) candidates.push_back(id);
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<ObjectId> roots;
+      for (ObjectId id : candidates) {
+        if (trial == 0 || rng.Bernoulli(0.3)) roots.push_back(id);
+      }
+      auto bundle = server.Checkout(*client, roots);
+      ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+      EXPECT_EQ(Encoded(ScanCheckout(*master, roots)), Encoded(*bundle))
+          << "trial " << trial;
+      ASSERT_TRUE(server.ReleaseLocks(*client, roots).ok());
+    }
   }
 }
 

@@ -236,6 +236,38 @@ TEST_F(MultiuserTest, CheckinPhasesAreTimed) {
   EXPECT_EQ(count("server.checkin.publish.ns") - publish0, kCommits + 0u);
 }
 
+TEST_F(MultiuserTest, LiveSnapshotGaugeFollowsPins) {
+  const obs::Gauge* live =
+      obs::MetricsRegistry::Global().GetGauge("server.snapshot.live");
+  const std::int64_t base = live->value();
+
+  // The first pin captures epoch 1; a publish displaces it, but the pin
+  // keeps it alive until dropped.
+  version::SnapshotPtr first = server_->PinSnapshot();
+  EXPECT_EQ(live->value(), base + 1);
+  server_->PublishSnapshot();
+  EXPECT_EQ(live->value(), base + 2);
+  first.reset();
+  EXPECT_EQ(live->value(), base + 1);
+  server_->PublishSnapshot();  // nobody pins the displaced epoch
+  EXPECT_EQ(live->value(), base + 1);
+
+  // A session pins its view; the session's own commit publishes the next
+  // epoch and re-pins, so the old view dies with the last outside pin.
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  {
+    auto view = alice.View();
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(live->value(), base + 1);
+    ASSERT_TRUE(alice.CheckoutByName({"Alarms"}).ok());
+    ASSERT_TRUE(alice.local()->CreateObject(ids_.action, "Fresh").ok());
+    ASSERT_TRUE(alice.Checkin().ok());
+    EXPECT_EQ(live->value(), base + 2);
+  }
+  EXPECT_EQ(live->value(), base + 1);
+}
+
 TEST_F(MultiuserTest, CommittedItemsStayTrackedForGlobalVersions) {
   auto session = ClientSession::Open(server_.get(), "alice");
   ClientSession& alice = **session;
