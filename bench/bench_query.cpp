@@ -159,8 +159,9 @@ void CheckPathsAgree(Database* db, seed::ClassId reading,
   Algebra algebra(db);
   auto extent = algebra.ClassExtent(reading, "r");
   auto scanned = *algebra.Select(extent, "r", p);
-  auto planned = *planner.SelectFromClass(reading, "r", p);
-  if (scanned.tuples != planned.tuples) {
+  std::vector<std::vector<ObjectId>> planned;
+  for (ObjectId id : planner.SelectIds(reading, p)) planned.push_back({id});
+  if (scanned.tuples != planned) {
     fprintf(stderr, "index/scan result mismatch: %zu vs %zu tuples\n",
             scanned.size(), planned.size());
     abort();
@@ -172,7 +173,7 @@ void BM_Query_SelectEqualityScan(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::ValueEquals(seed::core::Value::Int(137));
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -186,7 +187,7 @@ void BM_Query_SelectEqualityIndexed(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::ValueEquals(seed::core::Value::Int(137));
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -198,7 +199,7 @@ void BM_Query_SelectRangeScan(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::IntGreater(990);  // ~1% of defined values
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -211,7 +212,7 @@ void BM_Query_SelectRangeIndexed(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::IntGreater(990);
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -488,18 +489,18 @@ void BM_Query_JoinSmallDriverPlanned(benchmark::State& state) {
       Planner::JoinPlan::Strategy::kIndexNestedLoopLeft) {
     abort();
   }
+  const std::vector<QueryRelation> inputs = {world.small_src, world.all_dst};
+  const std::vector<Planner::PipelineHop> hops = {{world.flows, 0, {}, {}}};
   // Identity with the materializing path, once per setup.
   {
-    auto planned = *planner.Join(world.small_src, "s", world.flows,
-                                 world.all_dst, "d");
+    auto planned = *planner.JoinPipeline(inputs, hops);
     auto materialized = *algebra.RelationshipJoin(
         world.small_src, "s", world.flows, world.all_dst, "d",
         MaterializeOptions(0));
     if (planned.tuples != materialized.tuples) abort();
   }
   for (auto _ : state) {
-    auto r = planner.Join(world.small_src, "s", world.flows, world.all_dst,
-                          "d");
+    auto r = planner.JoinPipeline(inputs, hops);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -531,17 +532,17 @@ void BM_Query_JoinReversePlanned(benchmark::State& state) {
       Planner::JoinPlan::Strategy::kIndexNestedLoopLeft) {
     abort();
   }
+  const std::vector<QueryRelation> inputs = {world.small_dst, world.all_src};
+  const std::vector<Planner::PipelineHop> hops = {{world.flows, 1, {}, {}}};
   {
-    auto planned = *planner.Join(world.small_dst, "d", world.flows,
-                                 world.all_src, "s", 1);
+    auto planned = *planner.JoinPipeline(inputs, hops);
     auto materialized = *algebra.RelationshipJoin(
         world.small_dst, "d", world.flows, world.all_src, "s",
         MaterializeOptions(1));
     if (planned.tuples != materialized.tuples) abort();
   }
   for (auto _ : state) {
-    auto r = planner.Join(world.small_dst, "d", world.flows, world.all_src,
-                          "s", 1);
+    auto r = planner.JoinPipeline(inputs, hops);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -554,17 +555,19 @@ BENCHMARK(BM_Query_JoinReversePlanned)->Arg(10000)->Arg(100000);
 void BM_Query_JoinLargeInputsPlanned(benchmark::State& state) {
   auto world = BuildJoinBench(static_cast<int>(state.range(0)), 2);
   Planner planner(world.db.get());
-  Planner::JoinPlan plan;
-  auto r0 = planner.Join(world.all_src, "s", world.flows, world.all_dst,
-                         "d", 0, &plan);
+  const std::vector<QueryRelation> inputs = {world.all_src, world.all_dst};
+  const std::vector<Planner::PipelineHop> hops = {{world.flows, 0, {}, {}}};
+  Planner::PhysicalPlan plan;
+  auto r0 = planner.JoinPipeline(inputs, hops, &plan);
   if (!r0.ok() ||
-      (plan.strategy != Planner::JoinPlan::Strategy::kHashBuildRight &&
-       plan.strategy != Planner::JoinPlan::Strategy::kHashBuildLeft)) {
+      (plan.root->join.strategy !=
+           Planner::JoinPlan::Strategy::kHashBuildRight &&
+       plan.root->join.strategy !=
+           Planner::JoinPlan::Strategy::kHashBuildLeft)) {
     abort();
   }
   for (auto _ : state) {
-    auto r = planner.Join(world.all_src, "s", world.flows, world.all_dst,
-                          "d");
+    auto r = planner.JoinPipeline(inputs, hops);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -24,8 +24,8 @@ namespace seed::obs {
 enum class QueryPhase : int {
   kParse = 0,     // tokenizing + grammar
   kLower = 1,     // building the logical chain
-  kOptimize = 2,  // access-path planning + join-order DP
-  kExecute = 3,   // selections, join tree, projection
+  kOptimize = 2,  // access-path planning (or plan-cache re-bind)
+  kExecute = 3,   // selections, join-order DP, join tree, projection
 };
 inline constexpr int kNumQueryPhases = 4;
 

@@ -1,6 +1,6 @@
 // The logical query algebra: one intermediate representation that every
 // textual query form lowers into, and the single input of the planner's
-// Optimize() entry point.
+// Run() entry point.
 //
 // A LogicalChain is a path of binder-named selections connected by join
 // hops:
@@ -19,9 +19,9 @@
 // (RunQuery / RunRelationshipQuery / RunJoinQuery / RunJoinChainQuery)
 // and the planner one planning routine per shape, so every optimizer
 // improvement had to be implemented four times. All four entry points
-// now lower into a LogicalChain and execute through
-// Planner::Optimize(chain) — the one place join ordering, bushy plans
-// and access-path selection live.
+// now lower into a LogicalChain and execute through Planner::Run(chain)
+// — the one place join ordering, bushy plans and access-path selection
+// live.
 
 #ifndef SEED_QUERY_LOGICAL_H_
 #define SEED_QUERY_LOGICAL_H_

@@ -83,13 +83,6 @@ Predicate LiteralEquals(const Token& token) {
   return p;
 }
 
-/// Appends the post-execution actual row count to an EXPLAIN string.
-void ReportPlan(std::string* plan_out, const Planner::PhysicalPlan& plan,
-                size_t actual_rows) {
-  if (plan_out == nullptr) return;
-  *plan_out = plan.ToString() + "; actual " + std::to_string(actual_rows);
-}
-
 class Parser {
  public:
   Parser(const core::Database& db, std::vector<Token> tokens,
@@ -137,25 +130,18 @@ class Parser {
       return Status::InvalidArgument("trailing input after query: '" +
                                      tokens_[pos_].text + "'");
     }
-    obs::RecordPhase(ctx_, obs::QueryPhase::kParse,
-                     obs::NowNanos() - parse_start);
 
-    // Lower into the logical IR and execute through the unified planner
-    // path; the cost-based optimizer rewrites the selection into an
+    // The cost-based optimizer rewrites the selection into an
     // attribute-index probe (or a multi-index intersection) when
     // estimated cheaper, otherwise it runs the same extent scan.
-    const std::uint64_t lower_start = obs::NowNanos();
-    LogicalChain chain;
-    chain.binders.push_back(
-        LogicalSelect::Objects(*cls, "x", std::move(pred), !exact));
-    obs::RecordPhase(ctx_, obs::QueryPhase::kLower,
-                     obs::NowNanos() - lower_start);
-    Planner planner(&db_);
-    Planner::PhysicalPlan plan;
-    SEED_ASSIGN_OR_RETURN(Planner::ChainResult result,
-                          planner.Run(chain, &plan, ctx_));
-    ReportPlan(plan_out_, plan, result.ids.size());
-    if (trace_ != nullptr) trace_->plan = std::move(plan);
+    SEED_ASSIGN_OR_RETURN(
+        Planner::ChainResult result,
+        LowerAndRun(parse_start, [&]() -> Result<LogicalChain> {
+          LogicalChain chain;
+          chain.binders.push_back(
+              LogicalSelect::Objects(*cls, "x", std::move(pred), !exact));
+          return chain;
+        }));
     return std::move(result.ids);
   }
 
@@ -189,23 +175,17 @@ class Parser {
       return Status::InvalidArgument("trailing input after query: '" +
                                      tokens_[pos_].text + "'");
     }
-    obs::RecordPhase(ctx_, obs::QueryPhase::kParse,
-                     obs::NowNanos() - parse_start);
 
     // The relationship-extent shape of the logical IR: one binder over
     // the association, no hops.
-    const std::uint64_t lower_start = obs::NowNanos();
-    LogicalChain chain;
-    chain.binders.push_back(LogicalSelect::Relationships(
-        *assoc, "r", std::move(conditions), !exact));
-    obs::RecordPhase(ctx_, obs::QueryPhase::kLower,
-                     obs::NowNanos() - lower_start);
-    Planner planner(&db_);
-    Planner::PhysicalPlan plan;
-    SEED_ASSIGN_OR_RETURN(Planner::ChainResult result,
-                          planner.Run(chain, &plan, ctx_));
-    ReportPlan(plan_out_, plan, result.relationships.size());
-    if (trace_ != nullptr) trace_->plan = std::move(plan);
+    SEED_ASSIGN_OR_RETURN(
+        Planner::ChainResult result,
+        LowerAndRun(parse_start, [&]() -> Result<LogicalChain> {
+          LogicalChain chain;
+          chain.binders.push_back(LogicalSelect::Relationships(
+              *assoc, "r", std::move(conditions), !exact));
+          return chain;
+        }));
     return std::move(result.relationships);
   }
 
@@ -268,46 +248,64 @@ class Parser {
           "multi-hop join chains return binder tuples; run them through "
           "RunJoinChainQuery");
     }
-    obs::RecordPhase(ctx_, obs::QueryPhase::kParse,
-                     obs::NowNanos() - parse_start);
 
-    // Lower into the logical IR: each hop's direction comes from its
-    // adjacent binder classes.
-    const std::uint64_t lower_start = obs::NowNanos();
-    LogicalChain chain;
-    for (size_t i = 0; i < hops.size(); ++i) {
-      SEED_ASSIGN_OR_RETURN(
-          int left_role,
-          InferJoinDirection(hops[i].assoc, sides[i].cls, sides[i + 1].cls,
-                             hops[i].reverse));
-      chain.hops.push_back({hops[i].assoc, left_role});
-    }
-    for (JoinSide& side : sides) {
-      chain.binders.push_back(LogicalSelect::Objects(
-          side.cls, side.binder, std::move(side.pred), !side.exact));
-    }
-    obs::RecordPhase(ctx_, obs::QueryPhase::kLower,
-                     obs::NowNanos() - lower_start);
-
-    // The one optimizer entry point: every binder's selection plans
-    // through the cost-based access paths, then the hop-bitset DP picks
-    // the join tree — left-deep or bushy — from the estimates, the
-    // association populations and the tracked degree statistics.
-    Planner planner(&db_);
-    Planner::PhysicalPlan plan;
-    SEED_ASSIGN_OR_RETURN(Planner::ChainResult result,
-                          planner.Run(chain, &plan, ctx_));
+    // Each hop's direction comes from its adjacent binder classes. Every
+    // binder's selection plans through the cost-based access paths, then
+    // the hop-bitset DP picks the join tree — left-deep or bushy — from
+    // the actual binder sizes, the association populations and the
+    // tracked degree statistics.
+    SEED_ASSIGN_OR_RETURN(
+        Planner::ChainResult result,
+        LowerAndRun(parse_start, [&]() -> Result<LogicalChain> {
+          LogicalChain chain;
+          for (size_t i = 0; i < hops.size(); ++i) {
+            SEED_ASSIGN_OR_RETURN(
+                int left_role,
+                InferJoinDirection(hops[i].assoc, sides[i].cls,
+                                   sides[i + 1].cls, hops[i].reverse));
+            chain.hops.push_back({hops[i].assoc, left_role});
+          }
+          for (JoinSide& side : sides) {
+            chain.binders.push_back(LogicalSelect::Objects(
+                side.cls, side.binder, std::move(side.pred), !side.exact));
+          }
+          return chain;
+        }));
     JoinChainResult out;
-    for (const LogicalSelect& b : chain.binders) {
-      out.binders.push_back(b.binder);
-    }
+    for (const JoinSide& side : sides) out.binders.push_back(side.binder);
     out.tuples = std::move(result.tuples.tuples);
-    ReportPlan(plan_out_, plan, out.tuples.size());
-    if (trace_ != nullptr) trace_->plan = std::move(plan);
     return out;
   }
 
  private:
+  /// The tail every query form shares: closes the parse phase begun at
+  /// `parse_start`, times `lower` (which builds the logical chain) as the
+  /// lower phase, runs the chain through the planner, reports the plan
+  /// (the EXPLAIN string ends in the actual row count) and hands it to
+  /// the trace.
+  template <typename Lower>
+  Result<Planner::ChainResult> LowerAndRun(std::uint64_t parse_start,
+                                           Lower lower) {
+    const std::uint64_t lower_start = obs::NowNanos();
+    obs::RecordPhase(ctx_, obs::QueryPhase::kParse, lower_start - parse_start);
+    SEED_ASSIGN_OR_RETURN(LogicalChain chain, lower());
+    obs::RecordPhase(ctx_, obs::QueryPhase::kLower,
+                     obs::NowNanos() - lower_start);
+    Planner planner(&db_);
+    Planner::PhysicalPlan plan;
+    SEED_ASSIGN_OR_RETURN(Planner::ChainResult result,
+                          planner.Run(chain, &plan, ctx_));
+    if (plan_out_ != nullptr) {
+      // Exactly one of the three result shapes is filled.
+      *plan_out_ = plan.ToString() + "; actual " +
+                   std::to_string(result.ids.size() +
+                                  result.relationships.size() +
+                                  result.tuples.size());
+    }
+    if (trace_ != nullptr) trace_->plan = std::move(plan);
+    return result;
+  }
+
   /// One side of a join query: its class extent, binder name, and the
   /// accumulated 'where' conjuncts.
   struct JoinSide {

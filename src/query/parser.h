@@ -48,13 +48,14 @@
 // conditions name the binder they constrain.
 //
 // Every query form lowers into the logical IR (query/logical.h) and
-// executes through the one optimizer entry point, Planner::Optimize: each
+// executes through the one planner entry point, Planner::Run: each
 // binder's selection plans through the cost-based access paths (sargable
 // conditions use a matching attribute index — single probe or multi-index
 // intersection — when estimated cheaper than the extent scan), and join
-// chains run the plan *tree* the hop-bitset DP chooses from the tracked
-// degree statistics: left-deep or bushy (segment x segment), with a
-// selective hop written last still running first. 'explain find ...'
+// chains run the plan *tree* the hop-bitset DP chooses from the actual
+// binder sizes and the tracked degree statistics: left-deep or bushy
+// (segment x segment), with a selective hop written last still running
+// first. 'explain find ...'
 // prints every binder's selection plan plus the nested plan tree with
 // per-join strategy and estimated vs. actual rows. `find rel` filters
 // the relationships of an association by their attribute sub-objects

@@ -553,24 +553,6 @@ std::vector<ObjectId> Planner::SelectIds(ClassId cls, const Predicate& p,
       [&](ObjectId id) { return p.Eval(*db_, id); });
 }
 
-Result<QueryRelation> Planner::SelectFromClass(
-    ClassId cls, std::string attribute, const Predicate& p,
-    bool include_specializations) const {
-  Plan plan = PlanSelect(cls, p, include_specializations);
-  if (!plan.uses_index()) {
-    QueryRelation extent =
-        algebra_.ClassExtent(cls, attribute, include_specializations);
-    return algebra_.Select(extent, attribute, p);
-  }
-  QueryRelation out;
-  out.attributes = {std::move(attribute)};
-  for (ObjectId id :
-       ExecuteIndexPlan(plan, cls, p, include_specializations)) {
-    out.tuples.push_back({id});
-  }
-  return out;
-}
-
 // --- Relationship joins ------------------------------------------------------
 
 Algebra::JoinOptions Planner::JoinPlan::options() const {
@@ -697,23 +679,6 @@ Planner::JoinPlan Planner::PlanJoinEst(AssociationId assoc, double left_rows,
     }
   }
   return plan;
-}
-
-Result<QueryRelation> Planner::Join(const QueryRelation& a,
-                                    std::string_view attr_a,
-                                    AssociationId assoc,
-                                    const QueryRelation& b,
-                                    std::string_view attr_b, int left_role,
-                                    JoinPlan* plan_out, ClassId left_cls,
-                                    ClassId right_cls) const {
-  if (left_role != 0 && left_role != 1) {
-    return Status::InvalidArgument("join role must be 0 or 1");
-  }
-  JoinPlan plan =
-      PlanJoin(assoc, a.size(), b.size(), left_role, left_cls, right_cls);
-  if (plan_out != nullptr) *plan_out = plan;
-  return algebra_.RelationshipJoin(a, attr_a, assoc, b, attr_b,
-                                   plan.options());
 }
 
 // --- Plan trees --------------------------------------------------------------
@@ -934,6 +899,9 @@ std::unique_ptr<Planner::Node> Planner::OptimizeJoinTree(
   if (n == 0 || n > 63 || input_rows.size() != hops.size() + 1) {
     return nullptr;
   }
+  static obs::Counter* dp_runs =
+      obs::MetricsRegistry::Global().GetCounter("planner.dp.runs.total");
+  dp_runs->Increment();
 
   // Selinger-style DP over the chain's connected subchains, keyed by hop
   // bitset. For a chain the connected hop subsets are exactly the
@@ -1126,6 +1094,11 @@ Status Planner::ValidatePipelineInputs(
           "join pipeline inputs must be unary binder relations");
     }
   }
+  for (const PipelineHop& hop : hops) {
+    if (hop.left_role != 0 && hop.left_role != 1) {
+      return Status::InvalidArgument("join role must be 0 or 1");
+    }
+  }
   return Status::OK();
 }
 
@@ -1137,9 +1110,46 @@ bool Planner::ShouldForkChildren(const Node& node) const {
              policy_.min_parallel_cost;
 }
 
+/// Adaptive-execution state: the rows of executed segments no parent
+/// join has consumed yet, keyed by their subtree root, and whether
+/// execution stopped on a diverged intermediate.
+struct Planner::Adaptive {
+  std::unordered_map<const Node*, QueryRelation> done;
+  bool stopped = false;
+};
+
+namespace {
+
+/// True when a completed join's actual rows diverge from its estimate
+/// past kAdaptiveDivergence (+1-smoothed so empty-vs-tiny never divides
+/// by zero).
+bool Diverged(const Planner::PhysicalPlan::Node& node) {
+  const double actual = static_cast<double>(node.actual_rows);
+  return (actual + 1.0) / (node.est_rows + 1.0) > kAdaptiveDivergence ||
+         (node.est_rows + 1.0) / (actual + 1.0) > kAdaptiveDivergence;
+}
+
+bool HasTupleJoin(const Planner::PhysicalPlan::Node* node) {
+  if (node == nullptr) return false;
+  return node->kind == Planner::PhysicalPlan::Node::Kind::kTupleJoin ||
+         HasTupleJoin(node->left.get()) || HasTupleJoin(node->right.get());
+}
+
+std::vector<double> InputSizes(const std::vector<QueryRelation>& inputs) {
+  std::vector<double> sizes;
+  sizes.reserve(inputs.size());
+  for (const QueryRelation& in : inputs) {
+    sizes.push_back(static_cast<double>(in.size()));
+  }
+  return sizes;
+}
+
+}  // namespace
+
 Result<QueryRelation> Planner::ExecuteNode(
     Node* node, const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, obs::ExecContext* ctx) const {
+    const std::vector<PipelineHop>& hops, obs::ExecContext* ctx,
+    Adaptive* adaptive) const {
   // Two steady_clock reads per *node* (never per row) when an
   // EXPLAIN ANALYZE context asked for operator timing; children are
   // timed inside the parent's window, so a node's clock is inclusive.
@@ -1148,8 +1158,14 @@ Result<QueryRelation> Planner::ExecuteNode(
   // subtree and are published to the parent at the Await barrier.
   const bool timed = ctx != nullptr && ctx->time_nodes;
   const std::uint64_t start = timed ? obs::NowNanos() : 0;
+  // Clock of children executed before a re-plan grafted them here: they
+  // ran outside this node's window but belong to its inclusive time.
+  long long carried_ns = 0;
   // Executes a child into `storage` — except input leaves, which read
-  // the materialized binder relation in place (no copy).
+  // the materialized binder relation in place (no copy), and segments a
+  // re-plan grafted in, which hand over their rows. Under adaptive
+  // execution a child (never the root) whose rows diverge from its
+  // estimate parks its rows and stops the run.
   auto child = [&](Node* n, QueryRelation* storage)
       -> Result<const QueryRelation*> {
     if (n->kind == Node::Kind::kInput) {
@@ -1157,27 +1173,45 @@ Result<QueryRelation> Planner::ExecuteNode(
       if (timed) n->elapsed_ns = 0;  // read in place — no work to time
       return &inputs[n->binder];
     }
-    SEED_ASSIGN_OR_RETURN(*storage, ExecuteNode(n, inputs, hops, ctx));
+    if (adaptive != nullptr) {
+      if (auto it = adaptive->done.find(n); it != adaptive->done.end()) {
+        *storage = std::move(it->second);
+        adaptive->done.erase(it);
+        carried_ns += std::max<long long>(n->elapsed_ns, 0);
+        return storage;
+      }
+    }
+    SEED_ASSIGN_OR_RETURN(*storage,
+                          ExecuteNode(n, inputs, hops, ctx, adaptive));
+    if (adaptive != nullptr && !adaptive->stopped && Diverged(*n)) {
+      adaptive->done[n] = std::move(*storage);
+      adaptive->stopped = true;
+    }
     return storage;
+  };
+  auto stopped = [adaptive] {
+    return adaptive != nullptr && adaptive->stopped;
   };
   using Sides = std::pair<const QueryRelation*, const QueryRelation*>;
   // Resolves both children. When the policy allows it and the DP's own
   // cost estimates say both joined subtrees are substantial, the left
   // subtree executes as a concurrent task on the worker pool while this
   // thread runs the right — the bushy-plan concurrency the optimizer's
-  // tree shape makes available.
+  // tree shape makes available. Adaptive execution never forks: a stop
+  // must leave exactly one frontier of executed segments.
   auto children = [&](QueryRelation* left_storage,
                       QueryRelation* right_storage) -> Result<Sides> {
-    if (ShouldForkChildren(*node)) {
+    if (adaptive == nullptr && ShouldForkChildren(*node)) {
       std::optional<Result<QueryRelation>> left_result;
       exec::WorkerPool& pool = exec::WorkerPool::Global();
       pool.EnsureWorkers(policy_.threads - 1);
       exec::TaskGroup group;
       pool.Submit(&group, [&] {
-        left_result.emplace(ExecuteNode(node->left.get(), inputs, hops, ctx));
+        left_result.emplace(
+            ExecuteNode(node->left.get(), inputs, hops, ctx, nullptr));
       });
       Result<QueryRelation> right_result =
-          ExecuteNode(node->right.get(), inputs, hops, ctx);
+          ExecuteNode(node->right.get(), inputs, hops, ctx, nullptr);
       pool.Await(&group);
       if (!left_result->ok()) return left_result->status();
       if (!right_result.ok()) return right_result.status();
@@ -1187,8 +1221,13 @@ Result<QueryRelation> Planner::ExecuteNode(
     }
     SEED_ASSIGN_OR_RETURN(const QueryRelation* left,
                           child(node->left.get(), left_storage));
+    if (stopped()) return Sides();
     SEED_ASSIGN_OR_RETURN(const QueryRelation* right,
                           child(node->right.get(), right_storage));
+    if (stopped() && node->left->kind != Node::Kind::kInput) {
+      // The executed left segment waits for the re-plan with the rest.
+      adaptive->done[node->left.get()] = std::move(*left_storage);
+    }
     return Sides(left, right);
   };
   auto run = [&]() -> Result<QueryRelation> {
@@ -1202,6 +1241,7 @@ Result<QueryRelation> Planner::ExecuteNode(
         QueryRelation left_storage, right_storage;
         SEED_ASSIGN_OR_RETURN(Sides sides,
                               children(&left_storage, &right_storage));
+        if (stopped()) return QueryRelation();
         // The left input ends at binder `hop`, the right starts at binder
         // `hop` + 1; empty inputs short-circuit inside RelationshipJoin.
         auto joined = algebra_.RelationshipJoin(
@@ -1228,9 +1268,62 @@ Result<QueryRelation> Planner::ExecuteNode(
   };
   Result<QueryRelation> result = run();
   if (timed) {
-    node->elapsed_ns = static_cast<long long>(obs::NowNanos() - start);
+    node->elapsed_ns =
+        static_cast<long long>(obs::NowNanos() - start) + carried_ns;
   }
   return result;
+}
+
+std::unique_ptr<Planner::Node> Planner::ReplanSegments(
+    std::unique_ptr<Node> root, const std::vector<QueryRelation>& inputs,
+    const std::vector<PipelineHop>& hops, const Adaptive& adaptive) const {
+  // The stopped tree falls apart into the segments it covers, in binder
+  // order: executed subtrees (their rows parked in `adaptive`) and the
+  // binder leaves no join has consumed.
+  std::vector<std::unique_ptr<Node>> segs;
+  auto split = [&](auto&& self, std::unique_ptr<Node> node) -> void {
+    if (node->kind == Node::Kind::kInput ||
+        adaptive.done.count(node.get()) != 0) {
+      segs.push_back(std::move(node));
+      return;
+    }
+    self(self, std::move(node->left));
+    self(self, std::move(node->right));
+  };
+  split(split, std::move(root));
+
+  // The remaining problem is isomorphic to a fresh chain — segments are
+  // pseudo-binders and the connecting hop between neighbors j, j+1 is
+  // the real hop at segs[j]->hi — except that tuple joins are off (a
+  // pseudo-binder can be a multi-column segment a single-column tuple
+  // merge cannot soundly collapse).
+  std::vector<PipelineHop> seg_hops;
+  std::vector<double> seg_rows;
+  std::vector<int> real_hop;
+  for (size_t j = 0; j < segs.size(); ++j) {
+    const Node* s = segs[j].get();
+    seg_rows.push_back(static_cast<double>(
+        s->kind == Node::Kind::kInput ? inputs[s->binder].size()
+                                      : adaptive.done.at(s).size()));
+    if (j + 1 < segs.size()) {
+      seg_hops.push_back(hops[s->hi]);
+      real_hop.push_back(s->hi);
+    }
+  }
+  // Graft: pseudo-binder leaves become their segments, pseudo hops their
+  // real hops.
+  auto graft = [&](auto&& self,
+                   std::unique_ptr<Node> node) -> std::unique_ptr<Node> {
+    if (node->kind == Node::Kind::kInput) return std::move(segs[node->binder]);
+    node->left = self(self, std::move(node->left));
+    node->right = self(self, std::move(node->right));
+    node->hop = real_hop[node->hop];
+    node->lo = node->left->lo;
+    node->hi = node->right->hi;
+    return node;
+  };
+  return graft(graft, OptimizeJoinTree(seg_hops, seg_rows,
+                                       /*allow_tuple_joins=*/false));
 }
 
 namespace {
@@ -1244,208 +1337,22 @@ obs::Counter& RowsVisitedCounter() {
 }
 }  // namespace
 
-Result<QueryRelation> Planner::ExecuteTree(
-    const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, PhysicalPlan plan,
-    PhysicalPlan* plan_out, obs::ExecContext* ctx) const {
-  if (plan.root == nullptr) {
-    return Status::Internal("join pipeline plan has no tree");
-  }
-  SEED_ASSIGN_OR_RETURN(QueryRelation joined,
-                        ExecuteNode(plan.root.get(), inputs, hops, ctx));
-
+Result<QueryRelation> Planner::FinishJoin(
+    const std::vector<QueryRelation>& inputs, const QueryRelation& joined,
+    PhysicalPlan plan, PhysicalPlan* plan_out) const {
   RowsVisitedCounter().Increment(
       static_cast<std::uint64_t>(plan.RowsVisited()));
-
+  // Report the estimates of the tree actually executed.
+  plan.est_rows = plan.root->est_rows;
+  plan.est_cost = plan.root->est_cost;
+  for (const Plan& select : plan.selects) plan.est_cost += select.est_cost;
   // Back to the textual binder-column order (execution accumulated the
   // columns in tree order; a complete tree joins every binder).
-  std::vector<std::string> binders;
+  plan.binders.clear();
   for (const QueryRelation& in : inputs) {
-    binders.push_back(in.attributes[0]);
+    plan.binders.push_back(in.attributes[0]);
   }
-  auto out = algebra_.Project(joined, binders);
-  if (!out.ok()) return out.status();
-  if (plan_out != nullptr) *plan_out = std::move(plan);
-  return out;
-}
-
-Result<QueryRelation> Planner::ExecuteChainAdaptive(
-    const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, PhysicalPlan plan,
-    PhysicalPlan* plan_out, obs::ExecContext* ctx) const {
-  if (plan.root == nullptr) {
-    return Status::Internal("join pipeline plan has no tree");
-  }
-  // Tuple joins merge *overlapping* segments, which the adjacent-segment
-  // stepwise walk below cannot express — those trees execute as planned.
-  {
-    bool has_tuple = false;
-    auto walk = [&has_tuple](auto&& self, const Node* node) -> void {
-      if (node == nullptr) return;
-      if (node->kind == Node::Kind::kTupleJoin) has_tuple = true;
-      self(self, node->left.get());
-      self(self, node->right.get());
-    };
-    walk(walk, plan.root.get());
-    if (has_tuple) {
-      return ExecuteTree(inputs, hops, std::move(plan), plan_out, ctx);
-    }
-  }
-  const bool timed = ctx != nullptr && ctx->time_nodes;
-
-  // One contiguous, already-executed binder segment [lo, hi]. Leaves
-  // read their materialized input in place; composites own their rows.
-  struct Seg {
-    int lo = 0, hi = 0;
-    int leaf_binder = -1;
-    QueryRelation owned;
-    std::unique_ptr<Node> node;  // executed subtree; null for unread leaf
-  };
-  std::vector<Seg> segs(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    segs[i].lo = segs[i].hi = static_cast<int>(i);
-    segs[i].leaf_binder = static_cast<int>(i);
-  }
-  auto rel_of = [&inputs](const Seg& s) -> const QueryRelation& {
-    return s.leaf_binder >= 0 ? inputs[s.leaf_binder] : s.owned;
-  };
-
-  // What the current tree decides for each pending hop, and the order it
-  // executes them in (its post order): re-merging adjacent segments in
-  // post order reproduces the tree's shape exactly, so absent any
-  // re-plan the stitched tree, join strategies, estimates and actuals
-  // are byte-identical to ExecuteTree's.
-  struct HopDecision {
-    JoinPlan join;
-    double est_rows = 0.0;
-    double est_cost = 0.0;
-  };
-  std::unordered_map<int, HopDecision> decisions;
-  std::vector<int> exec_order;
-  auto adopt = [&decisions, &exec_order](const Node* root,
-                                         const std::vector<int>& real_of) {
-    exec_order.clear();
-    decisions.clear();
-    auto walk = [&](auto&& self, const Node* node) -> void {
-      if (node == nullptr) return;
-      self(self, node->left.get());
-      self(self, node->right.get());
-      if (node->kind != Node::Kind::kHopJoin) return;
-      const int real = real_of.empty() ? node->hop : real_of[node->hop];
-      exec_order.push_back(real);
-      decisions[real] =
-          HopDecision{node->join, node->est_rows, node->est_cost};
-    };
-    walk(walk, root);
-  };
-  adopt(plan.root.get(), {});
-
-  int replans = 0;
-  size_t cursor = 0;
-  while (cursor < exec_order.size()) {
-    const int m = exec_order[cursor++];
-    // Hop m joins the segment ending at binder m with the one starting
-    // at binder m + 1; post-order execution keeps them adjacent.
-    size_t li = 0;
-    while (li < segs.size() && segs[li].hi != m) ++li;
-    if (li + 1 >= segs.size() || segs[li + 1].lo != m + 1) {
-      return Status::Internal("adaptive execution lost segment adjacency");
-    }
-    Seg& left = segs[li];
-    Seg& right = segs[li + 1];
-    const HopDecision d = decisions.at(m);
-    const std::uint64_t start = timed ? obs::NowNanos() : 0;
-    auto joined = algebra_.RelationshipJoin(
-        rel_of(left), inputs[m].attributes[0], hops[m].assoc, rel_of(right),
-        inputs[m + 1].attributes[0], d.join.options());
-    if (!joined.ok()) return joined.status();
-
-    // Stitch the executed node; leaf children materialize on first use,
-    // exactly as ExecuteNode records them.
-    auto consume = [&](Seg& s) -> std::unique_ptr<Node> {
-      if (s.node != nullptr) return std::move(s.node);
-      auto leaf = MakeLeaf(s.leaf_binder,
-                           static_cast<double>(inputs[s.leaf_binder].size()));
-      leaf->actual_rows =
-          static_cast<long long>(inputs[s.leaf_binder].size());
-      if (timed) leaf->elapsed_ns = 0;  // read in place — no work to time
-      return leaf;
-    };
-    auto node = std::make_unique<Node>();
-    node->kind = Node::Kind::kHopJoin;
-    node->hop = m;
-    node->lo = left.lo;
-    node->hi = right.hi;
-    node->join = d.join;
-    node->est_rows = d.est_rows;
-    node->est_cost = d.est_cost;
-    node->left = consume(left);
-    node->right = consume(right);
-    node->actual_rows = static_cast<long long>(joined->size());
-    if (timed) {
-      // Inclusive wall-clock, matching ExecuteNode's semantics.
-      node->elapsed_ns = static_cast<long long>(obs::NowNanos() - start) +
-                         std::max<long long>(node->left->elapsed_ns, 0) +
-                         std::max<long long>(node->right->elapsed_ns, 0);
-    }
-    left.hi = right.hi;
-    left.leaf_binder = -1;
-    left.owned = *std::move(joined);
-    left.node = std::move(node);
-    segs.erase(segs.begin() + static_cast<long>(li) + 1);
-
-    // Divergence check: past the threshold (either direction, smoothed
-    // so empty-vs-tiny never divides by zero), the remaining segments
-    // re-enter the DP with their exact sizes. The remaining problem is
-    // isomorphic to a fresh chain — segments are pseudo-binders and the
-    // connecting hop between neighbors j, j+1 is the real hop at
-    // segs[j].hi — except that tuple joins are off (a pseudo-binder can
-    // be a multi-column segment).
-    const double actual = static_cast<double>(left.owned.size());
-    const bool diverged =
-        (actual + 1.0) / (d.est_rows + 1.0) > kAdaptiveDivergence ||
-        (d.est_rows + 1.0) / (actual + 1.0) > kAdaptiveDivergence;
-    if (diverged && segs.size() > 1) {
-      std::vector<PipelineHop> pseudo_hops;
-      std::vector<double> pseudo_rows;
-      std::vector<int> real_of;
-      for (size_t j = 0; j < segs.size(); ++j) {
-        pseudo_rows.push_back(static_cast<double>(rel_of(segs[j]).size()));
-        if (j + 1 < segs.size()) {
-          pseudo_hops.push_back(hops[segs[j].hi]);
-          real_of.push_back(segs[j].hi);
-        }
-      }
-      std::unique_ptr<Node> tree = OptimizeJoinTree(
-          pseudo_hops, pseudo_rows, /*allow_tuple_joins=*/false);
-      if (tree != nullptr) {
-        ++replans;
-        CountAdaptiveReplan();
-        adopt(tree.get(), real_of);
-        cursor = 0;
-      }
-    }
-  }
-  if (segs.size() != 1 || segs[0].node == nullptr) {
-    return Status::Internal("adaptive execution did not reach a single root");
-  }
-  plan.root = std::move(segs[0].node);
-  plan.adaptive_replans = replans;
-  if (replans > 0) {
-    // Report the estimates of the tree actually executed.
-    plan.est_rows = plan.root->est_rows;
-    plan.est_cost = plan.root->est_cost;
-    for (const Plan& select : plan.selects) plan.est_cost += select.est_cost;
-  }
-  QueryRelation joined = std::move(segs[0].owned);
-
-  RowsVisitedCounter().Increment(
-      static_cast<std::uint64_t>(plan.RowsVisited()));
-  std::vector<std::string> binders;
-  for (const QueryRelation& in : inputs) {
-    binders.push_back(in.attributes[0]);
-  }
-  auto out = algebra_.Project(joined, binders);
+  auto out = algebra_.Project(joined, plan.binders);
   if (!out.ok()) return out.status();
   if (plan_out != nullptr) *plan_out = std::move(plan);
   return out;
@@ -1468,53 +1375,36 @@ Result<QueryRelation> Planner::JoinPipeline(
     const std::vector<QueryRelation>& inputs,
     const std::vector<PipelineHop>& hops, PhysicalPlan* plan_out,
     obs::ExecContext* ctx) const {
-  Status valid = ValidatePipelineInputs(inputs, hops);
-  if (!valid.ok()) return valid;
-  std::vector<size_t> sizes;
-  sizes.reserve(inputs.size());
-  for (const QueryRelation& in : inputs) sizes.push_back(in.size());
-  PhysicalPlan plan = PlanJoinPipeline(hops, sizes);
-  for (const QueryRelation& in : inputs) {
-    plan.binders.push_back(in.attributes[0]);
-  }
-  return ExecuteTree(inputs, hops, std::move(plan), plan_out, ctx);
+  SEED_RETURN_IF_ERROR(ValidatePipelineInputs(inputs, hops));
+  PhysicalPlan plan;
+  plan.root = OptimizeJoinTree(hops, InputSizes(inputs));
+  SEED_ASSIGN_OR_RETURN(
+      QueryRelation joined,
+      ExecuteNode(plan.root.get(), inputs, hops, ctx, nullptr));
+  return FinishJoin(inputs, joined, std::move(plan), plan_out);
 }
 
 Result<QueryRelation> Planner::JoinPipelineInOrder(
     const std::vector<QueryRelation>& inputs,
     const std::vector<PipelineHop>& hops, const std::vector<int>& order,
     PhysicalPlan* plan_out) const {
-  Status valid = ValidatePipelineInputs(inputs, hops);
-  if (!valid.ok()) return valid;
-  std::vector<double> sizes;
-  sizes.reserve(inputs.size());
-  for (const QueryRelation& in : inputs) {
-    sizes.push_back(static_cast<double>(in.size()));
-  }
-  SEED_ASSIGN_OR_RETURN(std::unique_ptr<Node> root,
-                        TreeForOrder(hops, sizes, order));
+  SEED_RETURN_IF_ERROR(ValidatePipelineInputs(inputs, hops));
   PhysicalPlan plan;
-  plan.est_rows = root->est_rows;
-  plan.est_cost = root->est_cost;
-  plan.root = std::move(root);
-  for (const QueryRelation& in : inputs) {
-    plan.binders.push_back(in.attributes[0]);
-  }
-  return ExecuteTree(inputs, hops, std::move(plan), plan_out);
+  SEED_ASSIGN_OR_RETURN(plan.root,
+                        TreeForOrder(hops, InputSizes(inputs), order));
+  SEED_ASSIGN_OR_RETURN(
+      QueryRelation joined,
+      ExecuteNode(plan.root.get(), inputs, hops, nullptr, nullptr));
+  return FinishJoin(inputs, joined, std::move(plan), plan_out);
 }
 
 Result<QueryRelation> Planner::JoinPipelineSplit(
     const std::vector<QueryRelation>& inputs,
     const std::vector<PipelineHop>& hops, int m, bool tuple_join,
     PhysicalPlan* plan_out) const {
-  Status valid = ValidatePipelineInputs(inputs, hops);
-  if (!valid.ok()) return valid;
+  SEED_RETURN_IF_ERROR(ValidatePipelineInputs(inputs, hops));
   const int n = static_cast<int>(hops.size());
-  std::vector<double> sizes;
-  sizes.reserve(inputs.size());
-  for (const QueryRelation& in : inputs) {
-    sizes.push_back(static_cast<double>(in.size()));
-  }
+  const std::vector<double> sizes = InputSizes(inputs);
   PhysicalPlan plan;
   if (tuple_join) {
     if (m <= 0 || m >= n) {
@@ -1530,12 +1420,10 @@ Result<QueryRelation> Planner::JoinPipelineSplit(
     plan.root = MakeHopJoin(hops, m, LeftDeepTree(hops, sizes, 0, m),
                             LeftDeepTree(hops, sizes, m + 1, n));
   }
-  plan.est_rows = plan.root->est_rows;
-  plan.est_cost = plan.root->est_cost;
-  for (const QueryRelation& in : inputs) {
-    plan.binders.push_back(in.attributes[0]);
-  }
-  return ExecuteTree(inputs, hops, std::move(plan), plan_out);
+  SEED_ASSIGN_OR_RETURN(
+      QueryRelation joined,
+      ExecuteNode(plan.root.get(), inputs, hops, nullptr, nullptr));
+  return FinishJoin(inputs, joined, std::move(plan), plan_out);
 }
 
 // --- The unified entry point -------------------------------------------------
@@ -1664,7 +1552,7 @@ std::optional<Planner::Plan> Planner::RebindSelect(
   return plan;
 }
 
-std::optional<Planner::PhysicalPlan> Planner::TryCachedPlan(
+std::optional<std::vector<Planner::Plan>> Planner::TryCachedSelects(
     const LogicalChain& chain, const std::string& key) const {
   PlanCache& cache = PlanCache::Global();
   std::optional<CachedPlan> cached = cache.Lookup(key);
@@ -1687,7 +1575,7 @@ std::optional<Planner::PhysicalPlan> Planner::TryCachedPlan(
       }
     }
   }
-  PhysicalPlan plan;
+  std::vector<Plan> selects;
   if (usable) {
     for (size_t i = 0; i < chain.binders.size(); ++i) {
       std::optional<Plan> select =
@@ -1696,8 +1584,7 @@ std::optional<Planner::PhysicalPlan> Planner::TryCachedPlan(
         usable = false;
         break;
       }
-      plan.est_cost += select->est_cost;
-      plan.selects.push_back(std::move(*select));
+      selects.push_back(std::move(*select));
     }
   }
   if (!usable) {
@@ -1705,28 +1592,14 @@ std::optional<Planner::PhysicalPlan> Planner::TryCachedPlan(
     cache.NoteMiss();
     return std::nullopt;
   }
-  for (const LogicalSelect& b : chain.binders) {
-    plan.binders.push_back(b.binder);
-  }
-  if (chain.relationship_form()) {
-    plan.relationship_form = true;
-    plan.est_rows = plan.selects[0].est_rows;
-  } else if (chain.hops.empty()) {
-    plan.root = MakeLeaf(0, plan.selects[0].est_rows);
-    plan.est_rows = plan.selects[0].est_rows;
-  }
-  // Hop chains leave the tree null: Run() re-derives it from the actual
-  // binder sizes, exactly as it does for fresh plans — the cache's win
-  // is skipping candidate costing and the optimize-phase DP.
-  plan.from_cache = true;
   cache.NoteHit();
-  return plan;
+  return selects;
 }
 
 void Planner::InsertInCache(const LogicalChain& chain, const std::string& key,
-                            const PhysicalPlan& plan) const {
+                            const std::vector<Plan>& selects) const {
   CachedPlan cached;
-  for (const Plan& select : plan.selects) {
+  for (const Plan& select : selects) {
     CachedPlan::Select s;
     for (const Plan::Leg& leg : select.legs) {
       s.legs.push_back(CachedPlan::Leg{leg.index->spec(), leg.sarg_ordinal});
@@ -1740,38 +1613,17 @@ void Planner::InsertInCache(const LogicalChain& chain, const std::string& key,
   PlanCache::Global().Insert(key, std::move(cached));
 }
 
-Result<Planner::PhysicalPlan> Planner::Optimize(
+std::vector<Planner::Plan> Planner::PlanAccessPaths(
     const LogicalChain& chain) const {
-  SEED_RETURN_IF_ERROR(chain.Validate());
-  PhysicalPlan plan;
+  std::vector<Plan> selects;
   for (const LogicalSelect& b : chain.binders) {
-    plan.binders.push_back(b.binder);
+    selects.push_back(
+        b.extent == LogicalSelect::Extent::kRelationships
+            ? PlanSelectRelationships(b.assoc, b.rel_conditions,
+                                      b.include_specializations)
+            : PlanSelect(b.cls, b.pred, b.include_specializations));
   }
-  if (chain.relationship_form()) {
-    const LogicalSelect& b = chain.binders[0];
-    plan.relationship_form = true;
-    plan.selects.push_back(PlanSelectRelationships(
-        b.assoc, b.rel_conditions, b.include_specializations));
-    plan.est_rows = plan.selects[0].est_rows;
-    plan.est_cost = plan.selects[0].est_cost;
-    return plan;
-  }
-  std::vector<double> input_rows;
-  for (const LogicalSelect& b : chain.binders) {
-    plan.selects.push_back(
-        PlanSelect(b.cls, b.pred, b.include_specializations));
-    plan.est_cost += plan.selects.back().est_cost;
-    input_rows.push_back(plan.selects.back().est_rows);
-  }
-  if (chain.hops.empty()) {
-    plan.root = MakeLeaf(0, input_rows[0]);
-    plan.est_rows = input_rows[0];
-    return plan;
-  }
-  plan.root = OptimizeJoinTree(LowerHops(chain), input_rows);
-  plan.est_rows = plan.root->est_rows;
-  plan.est_cost += plan.root->est_cost;
-  return plan;
+  return selects;
 }
 
 Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
@@ -1785,21 +1637,27 @@ Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
   PhysicalPlan plan;
   {
     obs::PhaseTimer timer(ctx, obs::QueryPhase::kOptimize);
-    // The textual hot path consults the shape-keyed plan cache first: a
-    // hit re-binds live literals into the cached skeleton and skips
-    // index selection, access-path costing and the optimize-phase DP.
-    std::string cache_key;
-    if (plan_cache_enabled_ && chain.Validate().ok()) {
-      cache_key = BuildShapeKey(chain);
-      if (std::optional<PhysicalPlan> cached =
-              TryCachedPlan(chain, cache_key)) {
-        plan = std::move(*cached);
-      }
+    SEED_RETURN_IF_ERROR(chain.Validate());
+    // The shape-keyed plan cache: a hit re-binds live literals into the
+    // cached access-path skeleton, skipping index selection and
+    // candidate costing. Either way the join tree is left to the DP
+    // below, which needs the actual binder sizes.
+    const std::string cache_key = BuildShapeKey(chain);
+    if (std::optional<std::vector<Plan>> cached =
+            TryCachedSelects(chain, cache_key)) {
+      plan.selects = std::move(*cached);
+      plan.from_cache = true;
+    } else {
+      plan.selects = PlanAccessPaths(chain);
+      InsertInCache(chain, cache_key, plan.selects);
     }
-    if (!plan.from_cache) {
-      SEED_ASSIGN_OR_RETURN(plan, Optimize(chain));
-      if (!cache_key.empty()) InsertInCache(chain, cache_key, plan);
+    for (const LogicalSelect& b : chain.binders) {
+      plan.binders.push_back(b.binder);
     }
+    plan.relationship_form = chain.relationship_form();
+    // Single-binder estimates; a hop chain's come from its executed tree.
+    plan.est_rows = plan.selects[0].est_rows;
+    for (const Plan& select : plan.selects) plan.est_cost += select.est_cost;
   }
   obs::PhaseTimer exec_timer(ctx, obs::QueryPhase::kExecute);
 
@@ -1829,6 +1687,7 @@ Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
     const std::uint64_t start = timed ? obs::NowNanos() : 0;
     out.ids = SelectIds(b.cls, b.pred, b.include_specializations,
                         &plan.selects[0]);
+    plan.root = MakeLeaf(0, plan.selects[0].est_rows);
     plan.selects[0].actual_rows = static_cast<long long>(out.ids.size());
     plan.root->actual_rows = static_cast<long long>(out.ids.size());
     if (timed) {
@@ -1860,26 +1719,34 @@ Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
     inputs.push_back(std::move(rel));
   }
 
-  // Re-run the DP with the *actual* binder sizes, which are now known
-  // for free: a scan plan's pre-execution estimate is the whole extent
-  // regardless of predicate selectivity, and a join strategy chosen for
-  // a 100k-row estimate is badly wrong for the 3 rows a selective
-  // residual actually kept.
-  std::vector<double> sizes;
-  sizes.reserve(inputs.size());
-  for (const QueryRelation& in : inputs) {
-    sizes.push_back(static_cast<double>(in.size()));
+  // The query's one DP runs here, on the *actual* binder sizes, which
+  // are now known for free: a scan plan's pre-execution estimate is the
+  // whole extent regardless of predicate selectivity, and a join
+  // strategy chosen for a 100k-row estimate is badly wrong for the 3
+  // rows a selective residual actually kept. It is timed in the execute
+  // phase.
+  const std::vector<PipelineHop> hops = LowerHops(chain);
+  plan.root = OptimizeJoinTree(hops, InputSizes(inputs));
+  // A tree adapts or forks, never both. A hop-only tree executes
+  // adaptively: when an intermediate diverges from its estimate,
+  // execution stops, the executed segments re-enter the DP with exact
+  // sizes, and execution resumes under the new tree. A tree with a
+  // tuple join executes as planned (the segment re-plan cannot express
+  // overlapping segments) and may fork its subtrees.
+  Adaptive adaptive;
+  Adaptive* watch = HasTupleJoin(plan.root.get()) ? nullptr : &adaptive;
+  QueryRelation joined;
+  while (true) {
+    SEED_ASSIGN_OR_RETURN(
+        joined, ExecuteNode(plan.root.get(), inputs, hops, ctx, watch));
+    if (!adaptive.stopped) break;
+    plan.root = ReplanSegments(std::move(plan.root), inputs, hops, adaptive);
+    adaptive.stopped = false;
+    ++plan.adaptive_replans;
+    CountAdaptiveReplan();
   }
-  plan.root = OptimizeJoinTree(LowerHops(chain), sizes);
-  plan.est_rows = plan.root->est_rows;
-  plan.est_cost = plan.root->est_cost;
-  for (const Plan& select : plan.selects) plan.est_cost += select.est_cost;
-  // Stepwise adaptive execution: identical to ExecuteTree until an
-  // intermediate diverges from its estimate, at which point the rest of
-  // the chain is re-planned from exact sizes.
   SEED_ASSIGN_OR_RETURN(out.tuples,
-                        ExecuteChainAdaptive(inputs, LowerHops(chain),
-                                             std::move(plan), plan_out, ctx));
+                        FinishJoin(inputs, joined, std::move(plan), plan_out));
   return out;
 }
 

@@ -19,10 +19,12 @@
 // relationship-side indexes when they exist and by a RelationshipsOf-style
 // extent scan otherwise.
 //
-// Join chains are optimized by Optimize(LogicalChain) -> PhysicalPlan: a
+// Join chains run through Run(LogicalChain): every binder's access path
+// is planned (or re-bound from the plan cache) and materialized, then a
 // Selinger-style dynamic program over the chain's connected subchains
-// (DP table keyed by hop bitset) that produces a *plan tree*, not just a
-// left-deep ordering. Two composition rules populate the table:
+// (DP table keyed by hop bitset) runs once on the actual binder sizes and
+// produces a *plan tree*, not just a left-deep ordering. Two composition
+// rules populate the table:
 //
 //   * a hop join — two adjacent segments [lo, m] and [m+1, hi] joined
 //     through hop m's association via Algebra::RelationshipJoin, with
@@ -276,31 +278,20 @@ class Planner {
   }
   const exec::ExecPolicy& exec_policy() const { return policy_; }
 
-  /// Whether Run() consults the process-global PlanCache (on by
-  /// default). Tests and benches that need guaranteed-fresh planning
-  /// for comparison turn it off per Planner instance.
-  void set_plan_cache_enabled(bool enabled) { plan_cache_enabled_ = enabled; }
-  bool plan_cache_enabled() const { return plan_cache_enabled_; }
-
   // --- The unified entry point -----------------------------------------------
 
-  /// Optimizes a logical chain: plans every binder's access path, then
-  /// runs the hop-bitset DP over the chain's connected subchains to pick
-  /// the cheapest join tree (hop joins and bushy tuple joins), costing
-  /// each candidate from the binder estimates, the association
-  /// populations and the tracked participation statistics. Nothing is
-  /// executed and no extent is scanned — the pre-execution view of the
-  /// plan (a scan binder's estimate is its whole extent).
-  Result<PhysicalPlan> Optimize(const LogicalChain& chain) const;
-
-  /// Optimizes and executes `chain`; `plan_out` (optional) receives the
-  /// executed plan with per-node actual rows. After materializing the
-  /// binder selections the join tree is re-planned from their *actual*
-  /// sizes (known for free at that point), so a selective residual a
+  /// Plans and executes `chain`; `plan_out` (optional) receives the
+  /// executed plan with per-node actual rows. Every binder's access path
+  /// comes from the process-global PlanCache or is planned fresh (the
+  /// optimize phase); the binder selections are then materialized and
+  /// the hop-bitset DP picks the cheapest join tree (hop joins and bushy
+  /// tuple joins) from their *actual* sizes, so a selective residual a
   /// scan estimate could not see still gets the right join strategies.
-  /// Results are identical to the brute-force reference for every chain
-  /// shape and plan. `ctx` (optional) collects per-phase wall-clock and
-  /// turns on per-node operator timing for EXPLAIN ANALYZE.
+  /// The DP runs once per query (plus once per adaptive re-plan) and is
+  /// timed in the execute phase. Results are identical to the
+  /// brute-force reference for every chain shape and plan. `ctx`
+  /// (optional) collects per-phase wall-clock and turns on per-node
+  /// operator timing for EXPLAIN ANALYZE.
   Result<ChainResult> Run(const LogicalChain& chain,
                           PhysicalPlan* plan_out = nullptr,
                           obs::ExecContext* ctx = nullptr) const;
@@ -311,15 +302,10 @@ class Planner {
   Plan PlanSelect(ClassId cls, const Predicate& p,
                   bool include_specializations = true) const;
 
-  /// Runs Select(ClassExtent(cls, attribute), attribute, p) through the
-  /// chosen plan. Result is identical to the scan path.
-  Result<QueryRelation> SelectFromClass(
-      ClassId cls, std::string attribute, const Predicate& p,
-      bool include_specializations = true) const;
-
-  /// Same, as a plain ascending id list (what the textual query layer
-  /// returns). Pass a precomputed `plan` (e.g. from an EXPLAIN display)
-  /// to avoid planning twice.
+  /// Runs Select(ClassExtent(cls, _), _, p) through the chosen plan, as
+  /// a plain ascending id list; identical to the scan path. Pass a
+  /// precomputed `plan` (e.g. from an EXPLAIN display) to avoid planning
+  /// twice.
   std::vector<ObjectId> SelectIds(ClassId cls, const Predicate& p,
                                   bool include_specializations = true,
                                   const Plan* plan = nullptr) const;
@@ -354,23 +340,11 @@ class Planner {
   /// participation count degenerates to the uniform assoc/extent
   /// estimate). Deterministic tie-breaks: hash-build-right,
   /// hash-build-left, inl-left, inl-right. `left_role` is read as 1 or
-  /// forward-otherwise; Join() rejects roles outside {0, 1} before
-  /// planning.
+  /// forward-otherwise; the pipeline entry points reject roles outside
+  /// {0, 1} before planning.
   JoinPlan PlanJoin(AssociationId assoc, size_t left_rows, size_t right_rows,
                     int left_role = 0, ClassId left_cls = ClassId(),
                     ClassId right_cls = ClassId()) const;
-
-  /// Plans and runs RelationshipJoin(a, attr_a, assoc, b, attr_b) with
-  /// the chosen strategy; `plan_out` (optional) receives the plan for
-  /// EXPLAIN-style display, `left_cls` / `right_cls` (optional) the input
-  /// classes for the degree statistics, as in PlanJoin. Results are
-  /// identical to every other strategy's.
-  Result<QueryRelation> Join(const QueryRelation& a, std::string_view attr_a,
-                             AssociationId assoc, const QueryRelation& b,
-                             std::string_view attr_b, int left_role = 0,
-                             JoinPlan* plan_out = nullptr,
-                             ClassId left_cls = ClassId(),
-                             ClassId right_cls = ClassId()) const;
 
   // --- Join pipelines --------------------------------------------------------
 
@@ -396,7 +370,10 @@ class Planner {
   /// joined binder tuples in textual binder-column order, ascending.
   /// `plan_out` receives the executed plan with per-node actual rows. An
   /// empty intermediate short-circuits inside the physical operators.
-  /// `ctx` (optional) turns on per-node operator timing.
+  /// `ctx` (optional) turns on per-node operator timing. A one-hop
+  /// pipeline is the single planned relationship join. Like the explicit
+  /// shapes below it executes as planned, never adaptively; hop roles
+  /// outside {0, 1} are InvalidArgument.
   Result<QueryRelation> JoinPipeline(const std::vector<QueryRelation>& inputs,
                                      const std::vector<PipelineHop>& hops,
                                      PhysicalPlan* plan_out = nullptr,
@@ -424,6 +401,7 @@ class Planner {
  private:
   struct Candidate;  // sargable conjunct bound to an index (planner.cc)
   struct DpEntry;    // best (rows, cost, decision) per hop bitset
+  struct Adaptive;   // executed segments parked across a re-plan
 
   using Node = PhysicalPlan::Node;
 
@@ -435,7 +413,8 @@ class Planner {
   /// The DP core: cheapest join tree over binder segment [0, n] given
   /// the base input estimates. Returns null when `hops` is empty and
   /// input_rows has a single binder (the leaf is built by the caller) —
-  /// otherwise always a tree covering every hop exactly once.
+  /// otherwise always a tree covering every hop exactly once, and the
+  /// run counts once in planner.dp.runs.total.
   /// `allow_tuple_joins` is cleared by adaptive mid-chain re-planning,
   /// where a "binder" can be an already-joined multi-column segment a
   /// single-column tuple merge cannot soundly collapse.
@@ -475,33 +454,36 @@ class Planner {
       const std::vector<QueryRelation>& inputs,
       const std::vector<PipelineHop>& hops);
 
-  /// Executes `node` over the materialized binder inputs, recording
-  /// per-node actual rows (and inclusive wall-clock when `ctx` asks for
-  /// node timing).
+  /// The one executor: runs `node` over the materialized binder inputs,
+  /// recording per-node actual rows (and inclusive wall-clock when `ctx`
+  /// asks for node timing). With `adaptive` null the tree executes as
+  /// planned and may fork its subtrees. Otherwise nothing forks, and
+  /// when a completed non-root hop join diverges from its estimate past
+  /// the adaptive threshold, execution stops with `adaptive->stopped`
+  /// set and every executed, unconsumed segment's rows parked in
+  /// `adaptive` (the returned relation is then empty).
   Result<QueryRelation> ExecuteNode(Node* node,
                                     const std::vector<QueryRelation>& inputs,
                                     const std::vector<PipelineHop>& hops,
-                                    obs::ExecContext* ctx) const;
+                                    obs::ExecContext* ctx,
+                                    Adaptive* adaptive) const;
 
-  /// Executes an already-built tree and projects the result back to
-  /// textual binder-column order.
-  Result<QueryRelation> ExecuteTree(const std::vector<QueryRelation>& inputs,
-                                    const std::vector<PipelineHop>& hops,
-                                    PhysicalPlan plan,
-                                    PhysicalPlan* plan_out,
-                                    obs::ExecContext* ctx = nullptr) const;
+  /// Re-plans a stopped tree: splits it into its executed segments and
+  /// unconsumed binder leaves, runs the DP over them with tuple joins
+  /// off, and grafts the executed subtrees in as leaves of the new tree
+  /// (ExecuteNode reads their parked rows instead of re-running them).
+  std::unique_ptr<Node> ReplanSegments(
+      std::unique_ptr<Node> root, const std::vector<QueryRelation>& inputs,
+      const std::vector<PipelineHop>& hops, const Adaptive& adaptive) const;
 
-  /// Executes an already-built hop-only tree *stepwise* (joins in the
-  /// tree's post order), watching each intermediate: when an actual
-  /// size diverges from its estimate past the adaptive threshold, the
-  /// remaining segments re-enter the DP with exact sizes and execution
-  /// continues under the new tree. Trees containing tuple joins fall
-  /// back to ExecuteTree unchanged. Result and, absent any re-plan,
-  /// the executed plan tree are identical to ExecuteTree's.
-  Result<QueryRelation> ExecuteChainAdaptive(
-      const std::vector<QueryRelation>& inputs,
-      const std::vector<PipelineHop>& hops, PhysicalPlan plan,
-      PhysicalPlan* plan_out, obs::ExecContext* ctx) const;
+  /// The one exit of every executed join tree: counts its rows visited,
+  /// takes the estimates of the tree actually executed, projects
+  /// `joined` back to textual binder-column order and hands the plan to
+  /// `plan_out`.
+  Result<QueryRelation> FinishJoin(const std::vector<QueryRelation>& inputs,
+                                   const QueryRelation& joined,
+                                   PhysicalPlan plan,
+                                   PhysicalPlan* plan_out) const;
 
   // --- Plan cache (query/plan_cache.h) ---------------------------------------
 
@@ -527,17 +509,19 @@ class Planner {
                                    const CachedPlan::Select& cached) const;
 
   /// The cache hit path: lookup by `key`, validate fingerprints against
-  /// the drift ratio, re-bind every select. Counts the hit/miss and
-  /// invalidates stale entries. The returned plan has `from_cache` set
-  /// and, for hop chains, no join tree — Run() always re-derives it
-  /// from actual binder sizes.
-  std::optional<PhysicalPlan> TryCachedPlan(const LogicalChain& chain,
-                                            const std::string& key) const;
+  /// the drift ratio, re-bind every binder's access path. Counts the
+  /// hit/miss and invalidates stale entries.
+  std::optional<std::vector<Plan>> TryCachedSelects(
+      const LogicalChain& chain, const std::string& key) const;
 
-  /// The miss path's second half: strips `plan` to its skeleton,
+  /// The miss path's second half: strips `selects` to their skeleton,
   /// captures the statistics fingerprints and inserts under `key`.
   void InsertInCache(const LogicalChain& chain, const std::string& key,
-                     const PhysicalPlan& plan) const;
+                     const std::vector<Plan>& selects) const;
+
+  /// The miss path's first half: every binder's access path, planned
+  /// from the statistics alone (nothing executes, no extent is scanned).
+  std::vector<Plan> PlanAccessPaths(const LogicalChain& chain) const;
 
   /// Lowers the chain's hops into PipelineHops (binder classes attached).
   static std::vector<PipelineHop> LowerHops(const LogicalChain& chain);
@@ -563,7 +547,6 @@ class Planner {
   const core::Database* db_;
   Algebra algebra_;
   exec::ExecPolicy policy_ = exec::ExecPolicy::Default();
-  bool plan_cache_enabled_ = true;
 };
 
 }  // namespace seed::query

@@ -151,13 +151,13 @@ TEST_F(LogicalPlanTest, ValidateRejectsBadShapes) {
   Planner planner(db_.get());
 
   LogicalChain empty;
-  EXPECT_TRUE(planner.Optimize(empty).status().IsInvalidArgument());
+  EXPECT_TRUE(planner.Run(empty).status().IsInvalidArgument());
 
   // Binder/hop counts must line up.
   LogicalChain dangling;
   dangling.binders.push_back(LogicalSelect::Objects(ids_.data, "d"));
   dangling.hops.push_back({ids_.access, 0});
-  EXPECT_TRUE(planner.Optimize(dangling).status().IsInvalidArgument());
+  EXPECT_TRUE(planner.Run(dangling).status().IsInvalidArgument());
 
   // Duplicate binder names.
   LogicalChain dup;
@@ -198,20 +198,20 @@ TEST_F(LogicalPlanTest, ValidateRejectsBadShapes) {
 
 // --- DP shape selection ------------------------------------------------------
 
-TEST_F(LogicalPlanTest, OptimizeSingleBinderIsTheSelectPlan) {
+TEST_F(LogicalPlanTest, RunSingleBinderIsTheSelectPlan) {
   LogicalChain chain;
   chain.binders.push_back(LogicalSelect::Objects(
       ids_.data, "d", Predicate::NameContains("Alarm")));
   Planner planner(db_.get());
-  auto plan = planner.Optimize(chain);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->selects.size(), 1u);
-  EXPECT_EQ(plan->selects[0].ToString(),
+  Planner::PhysicalPlan plan;
+  ASSERT_TRUE(planner.Run(chain, &plan).ok());
+  ASSERT_EQ(plan.selects.size(), 1u);
+  EXPECT_EQ(plan.selects[0].ToString(),
             planner.PlanSelect(ids_.data, Predicate::NameContains("Alarm"))
                 .ToString());
-  ASSERT_NE(plan->root, nullptr);
-  EXPECT_EQ(plan->root->kind, Planner::PhysicalPlan::Node::Kind::kInput);
-  EXPECT_FALSE(plan->HasBushyJoin());
+  ASSERT_NE(plan.root, nullptr);
+  EXPECT_EQ(plan.root->kind, Planner::PhysicalPlan::Node::Kind::kInput);
+  EXPECT_FALSE(plan.HasBushyJoin());
 }
 
 TEST(LogicalPlanDpTest, ChoosesBushyTreeOnSmallHugeSmallChain) {

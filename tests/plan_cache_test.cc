@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "exec/exec_policy.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
 #include "query/plan_cache.h"
@@ -196,20 +197,21 @@ TEST_F(PlanCacheTest, RaisedDriftRatioKeepsEntryAlive) {
   EXPECT_EQ(plan, cold_plan);
 }
 
-TEST_F(PlanCacheTest, DisabledPlannerNeverTouchesTheCache) {
-  LogicalChain chain;
-  LogicalSelect binder;
-  binder.cls = item_;
-  binder.binder = "x";
-  binder.pred = Predicate::ValueEquals(Value::Int(3));
-  chain.binders.push_back(std::move(binder));
-  Planner planner(db_.get());
-  planner.set_plan_cache_enabled(false);
-  ASSERT_TRUE(planner.Run(chain).ok());
-  EXPECT_EQ(PlanCache::Global().size(), 0u);
-  planner.set_plan_cache_enabled(true);
-  ASSERT_TRUE(planner.Run(chain).ok());
-  EXPECT_EQ(PlanCache::Global().size(), 1u);
+TEST_F(PlanCacheTest, ChainQueryRunsOneJoinDpColdOrWarm) {
+  // The cache holds access paths only, so a hit and a miss both leave
+  // the join tree to exactly one DP over the actual binder sizes.
+  const std::string q =
+      "find Item x join via Link to Target y join via Link to Item z "
+      "where x value is 3";
+  for (const char* temperature : {"cold", "warm"}) {
+    std::uint64_t dp_runs = CounterValue("planner.dp.runs.total");
+    QueryTrace trace;
+    ASSERT_TRUE(RunJoinChainQuery(*db_, q, nullptr, &trace).ok());
+    EXPECT_EQ(trace.plan.from_cache, std::string(temperature) == "warm");
+    EXPECT_EQ(trace.plan.adaptive_replans, 0);
+    EXPECT_EQ(CounterValue("planner.dp.runs.total"), dp_runs + 1)
+        << temperature;
+  }
 }
 
 /// A world built to mis-estimate: one hub Item holds every Link edge,
@@ -254,19 +256,42 @@ TEST(AdaptivePlanningTest, MisestimatedIntermediateTriggersReplan) {
   }
   std::sort(expected.begin(), expected.end());
 
-  PlanCache::Global().Clear();
-  std::uint64_t replans = CounterValue("planner.adaptive.replans.total");
-  QueryTrace trace;
-  auto r = RunJoinChainQuery(db,
-                             "find A x join via AB to B y "
-                             "join via BC to C z where x value is 7",
-                             nullptr, &trace);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->tuples, expected);
-  EXPECT_GE(trace.plan.adaptive_replans, 1);
-  EXPECT_GT(CounterValue("planner.adaptive.replans.total"), replans);
-  EXPECT_NE(trace.Render(/*mask_times=*/true).find("adaptive-replans:"),
-            std::string::npos);
+  // The re-planned tree: hop1 ran first (INL from the 1-row hub), came
+  // out at 200 rows against an estimate of 2, and the rest re-entered
+  // the DP with that segment as a leaf.
+  const std::string golden =
+      "x: scan, est ~100 rows, actual 1, t=<t>; "
+      "y: scan, est ~200 rows, actual 200, t=<t>; "
+      "z: scan, est ~100 rows, actual 100, t=<t>; "
+      "(hop2: (hop1: x[1] * y[200] | join-index-nested-loop(drive=left), "
+      "forward, 1 x 200 inputs, est ~2 rows (assoc ~200), actual 200, "
+      "in 1+200, t=<t>) * z[100] | join-hash(build=right), forward, "
+      "200 x 100 inputs, est ~200 rows (assoc ~200), actual 200, "
+      "in 200+100, t=<t>); adaptive-replans: 1; "
+      "phases: parse <t>, lower <t>, optimize <t>, execute <t>";
+  const int prior_threads = exec::DefaultThreads();
+  for (int threads : {1, 8}) {
+    exec::SetDefaultThreads(threads);
+    PlanCache::Global().Clear();
+    std::uint64_t replans = CounterValue("planner.adaptive.replans.total");
+    std::uint64_t dp_runs = CounterValue("planner.dp.runs.total");
+    QueryTrace trace;
+    auto r = RunJoinChainQuery(db,
+                               "find A x join via AB to B y "
+                               "join via BC to C z where x value is 7",
+                               nullptr, &trace);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->tuples, expected);
+    EXPECT_GE(trace.plan.adaptive_replans, 1);
+    EXPECT_GT(CounterValue("planner.adaptive.replans.total"), replans);
+    // One DP on the actual binder sizes, plus one per re-plan.
+    EXPECT_EQ(CounterValue("planner.dp.runs.total"),
+              dp_runs + 1 +
+                  static_cast<std::uint64_t>(trace.plan.adaptive_replans));
+    EXPECT_EQ(trace.Render(/*mask_times=*/true), golden)
+        << "threads=" << threads;
+  }
+  exec::SetDefaultThreads(prior_threads);
   PlanCache::Global().Clear();
 }
 

@@ -471,16 +471,16 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
       auto expected = naive_join(a, b, assoc, left_role);
 
       // The planner-chosen strategy...
-      Planner::JoinPlan plan;
-      auto planned = planner.Join(a, a.attributes[0], assoc, b,
-                                  b.attributes[0], left_role, &plan);
+      Planner::PhysicalPlan plan;
+      auto planned = planner.JoinPipeline(
+          {a, b}, {{assoc, left_role, ClassId(), ClassId()}}, &plan);
       ASSERT_TRUE(planned.ok()) << planned.status().ToString();
       ASSERT_EQ(planned->tuples, expected)
           << "join diverged at seed " << seed << " (plan: "
           << plan.ToString() << ")";
       using Strategy = Planner::JoinPlan::Strategy;
-      if (plan.strategy == Strategy::kHashBuildLeft ||
-          plan.strategy == Strategy::kHashBuildRight) {
+      if (plan.root->join.strategy == Strategy::kHashBuildLeft ||
+          plan.root->join.strategy == Strategy::kHashBuildRight) {
         ++join_hash_chosen;
       } else {
         ++join_inl_chosen;

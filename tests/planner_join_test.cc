@@ -158,10 +158,10 @@ TEST(PlannerJoinTest, PlannedJoinExecutesIdenticallyToEveryStrategy) {
   Algebra algebra(w.db.get());
   QueryRelation a = Take(w.srcs, 7, "s");
   QueryRelation b = Take(w.dsts, 30, "d");
-  JoinPlan plan;
-  auto planned = planner.Join(a, "s", w.flows, b, "d", 0, &plan);
+  Planner::PhysicalPlan plan;
+  auto planned = planner.JoinPipeline({a, b}, {{w.flows, 0, {}, {}}}, &plan);
   ASSERT_TRUE(planned.ok());
-  EXPECT_EQ(plan.strategy, Strategy::kIndexNestedLoopLeft);
+  EXPECT_EQ(plan.root->join.strategy, Strategy::kIndexNestedLoopLeft);
   EXPECT_FALSE(planned->empty());
   for (auto method : {Algebra::JoinOptions::Method::kHash,
                       Algebra::JoinOptions::Method::kIndexNestedLoop}) {
@@ -178,15 +178,15 @@ TEST(PlannerJoinTest, PlannedJoinExecutesIdenticallyToEveryStrategy) {
   }
 }
 
-TEST(PlannerJoinTest, JoinRejectsInvalidRoles) {
+TEST(PlannerJoinTest, JoinPipelineRejectsInvalidRoles) {
   JoinWorld w = BuildJoinWorld(10, 10, 10);
   Planner planner(w.db.get());
   QueryRelation a = Take(w.srcs, 5, "s");
   QueryRelation b = Take(w.dsts, 5, "d");
-  EXPECT_TRUE(planner.Join(a, "s", w.flows, b, "d", 2)
+  EXPECT_TRUE(planner.JoinPipeline({a, b}, {{w.flows, 2, {}, {}}})
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(planner.Join(a, "s", w.flows, b, "d", -1)
+  EXPECT_TRUE(planner.JoinPipeline({a, b}, {{w.flows, -1, {}, {}}})
                   .status()
                   .IsInvalidArgument());
 }
