@@ -18,13 +18,6 @@ void EraseFrom(std::vector<T>& v, const T& value) {
   v.erase(std::remove(v.begin(), v.end(), value), v.end());
 }
 
-/// Removes the links from `key` to `id`.
-template <typename Map, typename Key>
-void Unlink(Map& map, const Key& key, ObjectId id) {
-  auto [it, end] = map.equal_range(key);
-  while (it != end) it = it->second == id ? map.erase(it) : std::next(it);
-}
-
 // Mutation counters fire on the success path only — after attached
 // procedures had their chance to veto — so the registry reflects durable
 // changes, not attempts.
@@ -166,7 +159,7 @@ struct Database::ListRemovals {
   std::unordered_set<RelationshipId> owners;
 };
 
-void Database::UnindexObject(const ObjectItem& obj, ListRemovals* deferred) {
+void Database::UnindexObject(const ObjectItem& obj, ListRemovals* gone) {
   if (obj.is_independent()) {
     auto& idx = obj.is_pattern ? pattern_name_index_ : name_index_;
     auto it = idx.find(obj.name);
@@ -182,24 +175,14 @@ void Database::UnindexObject(const ObjectItem& obj, ListRemovals* deferred) {
       if (it->second.empty()) children_by_key_.erase(it);
     }
   }
-  if (deferred != nullptr) {
-    deferred->objects.insert(obj.id);
-    deferred->classes.insert(obj.cls);
-    if (obj.parent_kind == ParentKind::kObject) {
-      deferred->linked.insert(obj.parent_object);
-    } else if (obj.parent_kind == ParentKind::kRelationship) {
-      deferred->owners.insert(obj.parent_relationship);
-    }
-    deferred->linked.insert(obj.children.begin(), obj.children.end());
-  } else {
-    EraseFrom(by_class_[obj.cls], obj.id);
-    if (obj.parent_kind == ParentKind::kObject) {
-      Unlink(linked_objects_, obj.parent_object, obj.id);
-    } else if (obj.parent_kind == ParentKind::kRelationship) {
-      Unlink(attributes_of_, obj.parent_relationship, obj.id);
-    }
-    for (ObjectId child : obj.children) Unlink(linked_objects_, child, obj.id);
+  gone->objects.insert(obj.id);
+  gone->classes.insert(obj.cls);
+  if (obj.parent_kind == ParentKind::kObject) {
+    gone->linked.insert(obj.parent_object);
+  } else if (obj.parent_kind == ParentKind::kRelationship) {
+    gone->owners.insert(obj.parent_relationship);
   }
+  gone->linked.insert(obj.children.begin(), obj.children.end());
   if (!obj.is_pattern) extent_counters_.RemoveObject(obj.cls);
   --live_objects_;
 }
@@ -262,19 +245,11 @@ void Database::IndexRelationship(const RelationshipItem& rel) {
 }
 
 void Database::UnindexRelationship(const RelationshipItem& rel,
-                                   ListRemovals* deferred) {
-  if (deferred != nullptr) {
-    deferred->relationships.insert(rel.id);
-    deferred->assocs.insert(rel.assoc);
-    deferred->ends.insert(rel.ends[0]);
-    deferred->ends.insert(rel.ends[1]);
-  } else {
-    EraseFrom(by_assoc_[rel.assoc], rel.id);
-    EraseFrom(rels_by_object_[rel.ends[0]], rel.id);
-    if (rel.ends[1] != rel.ends[0]) {
-      EraseFrom(rels_by_object_[rel.ends[1]], rel.id);
-    }
-  }
+                                   ListRemovals* gone) {
+  gone->relationships.insert(rel.id);
+  gone->assocs.insert(rel.assoc);
+  gone->ends.insert(rel.ends[0]);
+  gone->ends.insert(rel.ends[1]);
   if (!rel.is_pattern) {
     extent_counters_.RemoveRelationship(rel.assoc);
     for (int role = 0; role < 2; ++role) {
@@ -403,9 +378,13 @@ void Database::WriteItemStates(ItemStates states) {
     for (ObjectId id : states.erased_objects) move_ends(id, ClassId());
   }
 
-  for (ObjectId id : states.erased_objects) objects_.erase(id);
+  for (ObjectId id : states.erased_objects) {
+    objects_.erase(id);
+    changed_objects_.erase(id);
+  }
   for (RelationshipId id : states.erased_relationships) {
     relationships_.erase(id);
+    changed_relationships_.erase(id);
   }
   const auto objects = OverwriteItems(objects_, states.objects);
   const auto relationships =
@@ -489,26 +468,38 @@ void Database::RefreshAttrIndexes(ObjectId id) {
 void Database::RefreshAttrIndexesWithParent(ObjectId id) {
   if (attr_indexes_.empty()) return;
   attr_indexes_.RefreshObject(*schema_, objects_, id);
-  RefreshAttrIndexParentOf(id);
-}
-
-void Database::RefreshAttrIndexParentOf(ObjectId id) {
-  if (attr_indexes_.empty()) return;
-  auto it = objects_.find(id);
-  if (it == objects_.end()) return;
-  if (it->second.parent_kind == ParentKind::kObject) {
-    attr_indexes_.RefreshObject(*schema_, objects_,
-                                it->second.parent_object);
-  } else if (it->second.parent_kind == ParentKind::kRelationship) {
+  const ObjectItem& obj = objects_.at(id);
+  if (obj.parent_kind == ParentKind::kObject) {
+    attr_indexes_.RefreshObject(*schema_, objects_, obj.parent_object);
+  } else if (obj.parent_kind == ParentKind::kRelationship) {
     // Relationship attribute: the owning relationship's index entries
     // derive from this sub-object's value.
-    RefreshRelAttrIndexes(it->second.parent_relationship);
+    RefreshRelAttrIndexes(obj.parent_relationship);
   }
 }
 
 void Database::RefreshRelAttrIndexes(RelationshipId id) {
   if (!attr_indexes_.has_relationship_indexes()) return;
   attr_indexes_.RefreshRelationship(*schema_, objects_, relationships_, id);
+}
+
+// --- Veto rollback -----------------------------------------------------------
+
+ItemStates Database::Prior(ObjectId id) const {
+  ItemStates prior;
+  prior.objects.emplace(id, objects_.at(id));
+  return prior;
+}
+
+ItemStates Database::Prior(RelationshipId id) const {
+  ItemStates prior;
+  prior.relationships.emplace(id, relationships_.at(id));
+  return prior;
+}
+
+Status Database::UndoIfVetoed(Status veto, ItemStates prior) {
+  if (!veto.ok()) WriteItemStates(std::move(prior));
+  return veto;
 }
 
 // --- Object creation ---------------------------------------------------------
@@ -538,14 +529,11 @@ Result<ObjectId> Database::CreateObject(ClassId cls, std::string name,
   Touch(id);
 
   if (!opts.pattern) {
+    ItemStates undo;
+    undo.erased_objects.push_back(id);
     UpdateEvent event{UpdateKind::kCreateObject, this, id, RelationshipId()};
-    Status veto = RunProcedures(cls, event);
-    if (!veto.ok()) {
-      UnindexObject(objects_[id]);
-      objects_.erase(id);
-      changed_objects_.erase(id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(cls, event), std::move(undo)));
   }
   CountObjectCreated();
   return id;
@@ -558,7 +546,6 @@ Result<ObjectId> Database::CreateSubObjectImpl(ParentKind kind,
   ClassId dep_cls;
   std::vector<ObjectId>* siblings = nullptr;
   bool parent_is_pattern = false;
-  ClassId procedure_cls;
 
   if (kind == ParentKind::kObject) {
     ObjectItem* parent = MutableObject(pobj);
@@ -580,7 +567,6 @@ Result<ObjectId> Database::CreateSubObjectImpl(ParentKind kind,
     siblings = &parent->children;
     parent_is_pattern = parent->is_pattern;
   }
-  procedure_cls = dep_cls;
   SEED_ASSIGN_OR_RETURN(const schema::ObjectClass* dep,
                         schema_->GetClass(dep_cls));
 
@@ -604,6 +590,9 @@ Result<ObjectId> Database::CreateSubObjectImpl(ParentKind kind,
   obj.index = NextChildIndex(*siblings, dep_cls);
   obj.is_pattern = parent_is_pattern;
   ObjectId id = obj.id;
+  // A veto restores the parent's child list and erases the new object.
+  ItemStates undo = kind == ParentKind::kObject ? Prior(pobj) : Prior(prel);
+  undo.erased_objects.push_back(id);
   objects_[id] = std::move(obj);
   siblings->push_back(id);
   if (kind == ParentKind::kObject) linked_objects_.emplace(id, pobj);
@@ -618,15 +607,8 @@ Result<ObjectId> Database::CreateSubObjectImpl(ParentKind kind,
   if (!parent_is_pattern) {
     UpdateEvent event{UpdateKind::kCreateSubObject, this, id,
                       RelationshipId()};
-    Status veto = RunProcedures(procedure_cls, event);
-    if (!veto.ok()) {
-      UnindexObject(objects_[id]);
-      EraseFrom(*siblings, id);
-      if (kind == ParentKind::kObject) Unlink(linked_objects_, id, pobj);
-      objects_.erase(id);
-      changed_objects_.erase(id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(dep_cls, event), std::move(undo)));
   }
   CountObjectCreated();
   return id;
@@ -660,19 +642,15 @@ Status Database::SetValue(ObjectId obj_id, Value value) {
   if (!obj->is_pattern) {
     SEED_RETURN_IF_ERROR(CheckValueConforms(*cls, value));
   }
-  Value old = obj->value;
+  ItemStates undo = Prior(obj_id);
   obj->value = std::move(value);
   Touch(obj_id);
   RefreshAttrIndexesWithParent(obj_id);
 
   if (!obj->is_pattern) {
     UpdateEvent event{UpdateKind::kSetValue, this, obj_id, RelationshipId()};
-    Status veto = RunProcedures(obj->cls, event);
-    if (!veto.ok()) {
-      obj->value = std::move(old);
-      RefreshAttrIndexesWithParent(obj_id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(obj->cls, event), std::move(undo)));
   }
   CountMutation();
   return Status::OK();
@@ -683,19 +661,15 @@ Status Database::ClearValue(ObjectId obj_id) {
   if (obj == nullptr || obj->deleted) {
     return Status::NotFound("object " + std::to_string(obj_id.raw()));
   }
-  Value old = obj->value;
+  ItemStates undo = Prior(obj_id);
   obj->value = Value();
   Touch(obj_id);
   RefreshAttrIndexesWithParent(obj_id);
   if (!obj->is_pattern) {
     UpdateEvent event{UpdateKind::kClearValue, this, obj_id,
                       RelationshipId()};
-    Status veto = RunProcedures(obj->cls, event);
-    if (!veto.ok()) {
-      obj->value = std::move(old);
-      RefreshAttrIndexesWithParent(obj_id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(obj->cls, event), std::move(undo)));
   }
   CountMutation();
   return Status::OK();
@@ -718,22 +692,17 @@ Status Database::Rename(ObjectId obj_id, std::string new_name) {
   SEED_RETURN_IF_ERROR(
       CheckIndependentName(new_name, obj->is_pattern, obj_id));
 
+  ItemStates undo = Prior(obj_id);
   auto& idx = obj->is_pattern ? pattern_name_index_ : name_index_;
-  std::string old_name = obj->name;
-  idx.erase(old_name);
+  idx.erase(obj->name);
   obj->name = std::move(new_name);
   idx[obj->name] = obj_id;
   Touch(obj_id);
 
   if (!obj->is_pattern) {
     UpdateEvent event{UpdateKind::kRename, this, obj_id, RelationshipId()};
-    Status veto = RunProcedures(obj->cls, event);
-    if (!veto.ok()) {
-      idx.erase(obj->name);
-      obj->name = std::move(old_name);
-      idx[obj->name] = obj_id;
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(obj->cls, event), std::move(undo)));
   }
   CountMutation();
   return Status::OK();
@@ -741,132 +710,68 @@ Status Database::Rename(ObjectId obj_id, std::string new_name) {
 
 // --- Deletion ----------------------------------------------------------------
 
-Status Database::DeleteObject(ObjectId root_id) {
-  ObjectItem* root = MutableObject(root_id);
-  if (root == nullptr || root->deleted) {
-    return Status::NotFound("object " + std::to_string(root_id.raw()));
+ItemStates Database::TombstoneClosure(ObjectId obj, RelationshipId rel) {
+  // The closure: the root, the live sub-object trees of every collected
+  // item, and every live relationship of a collected object, transitively,
+  // so that no live relationship ends at a tombstone.
+  ItemStates prior;
+  std::vector<ObjectId> work;
+  auto take_relationship = [&](RelationshipId id) {
+    auto [it, taken] =
+        prior.relationships.try_emplace(id, relationships_.at(id));
+    if (taken) {
+      work.insert(work.end(), it->second.children.begin(),
+                  it->second.children.end());
+    }
+  };
+  if (obj.valid()) {
+    work.push_back(obj);
+  } else {
+    take_relationship(rel);
   }
-
-  // Collect the closure: the subtree under root, every relationship
-  // touching it, those relationships' attribute subtrees, and so on.
-  std::vector<ObjectId> objs;
-  std::vector<RelationshipId> rels;
-  std::unordered_set<ObjectId> obj_seen;
-  std::unordered_set<RelationshipId> rel_seen;
-  std::vector<ObjectId> work{root_id};
-  obj_seen.insert(root_id);
   while (!work.empty()) {
-    ObjectId oid = work.back();
+    const ObjectItem& item = objects_.at(work.back());
     work.pop_back();
-    objs.push_back(oid);
-    const ObjectItem& obj = objects_.at(oid);
-    for (ObjectId child : obj.children) {
-      if (!objects_.at(child).deleted && obj_seen.insert(child).second) {
-        work.push_back(child);
-      }
+    if (item.deleted || !prior.objects.try_emplace(item.id, item).second) {
+      continue;
     }
-    auto it = rels_by_object_.find(oid);
+    work.insert(work.end(), item.children.begin(), item.children.end());
+    auto it = rels_by_object_.find(item.id);
     if (it == rels_by_object_.end()) continue;
-    for (RelationshipId rid : it->second) {
-      if (!rel_seen.insert(rid).second) continue;
-      rels.push_back(rid);
-      for (ObjectId attr : relationships_.at(rid).children) {
-        if (!objects_.at(attr).deleted && obj_seen.insert(attr).second) {
-          work.push_back(attr);
-        }
-      }
-    }
+    for (RelationshipId rid : it->second) take_relationship(rid);
   }
+  ItemStates tombstones = prior;
+  for (auto& [id, item] : tombstones.objects) item.deleted = true;
+  for (auto& [id, item] : tombstones.relationships) item.deleted = true;
+  WriteItemStates(std::move(tombstones));
+  return prior;
+}
 
-  // Tombstone everything (unindex first, while indexes are intact).
-  for (RelationshipId rid : rels) {
-    RelationshipItem& rel = relationships_.at(rid);
-    UnindexRelationship(rel);
-    rel.deleted = true;
-    Touch(rid);
-  }
-  for (ObjectId oid : objs) {
-    ObjectItem& obj = objects_.at(oid);
-    UnindexObject(obj);
-    obj.deleted = true;
-    Touch(oid);
-  }
-  // Every deleted object's parent is inside the closure except the root's.
-  for (ObjectId oid : objs) RefreshAttrIndexes(oid);
-  for (RelationshipId rid : rels) RefreshRelAttrIndexes(rid);
-  RefreshAttrIndexParentOf(root_id);
-  bool was_pattern = objects_.at(root_id).is_pattern;
-  if (!was_pattern) {
+Status Database::DeleteObject(ObjectId root_id) {
+  SEED_ASSIGN_OR_RETURN(const ObjectItem* root, GetObject(root_id));
+  ItemStates undo = TombstoneClosure(root_id, RelationshipId());
+  const size_t items = undo.objects.size() + undo.relationships.size();
+  if (!root->is_pattern) {
     UpdateEvent event{UpdateKind::kDeleteObject, this, root_id,
                       RelationshipId()};
-    Status veto = RunProcedures(objects_.at(root_id).cls, event);
-    if (!veto.ok()) {
-      for (ObjectId oid : objs) {
-        ObjectItem& obj = objects_.at(oid);
-        obj.deleted = false;
-        IndexObject(obj);
-      }
-      for (RelationshipId rid : rels) {
-        RelationshipItem& rel = relationships_.at(rid);
-        rel.deleted = false;
-        IndexRelationship(rel);
-      }
-      for (ObjectId oid : objs) RefreshAttrIndexes(oid);
-      for (RelationshipId rid : rels) RefreshRelAttrIndexes(rid);
-      RefreshAttrIndexParentOf(root_id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(root->cls, event), std::move(undo)));
   }
-  CountDelete(objs.size() + rels.size());
+  CountDelete(items);
   return Status::OK();
 }
 
 Status Database::DeleteRelationship(RelationshipId rel_id) {
-  RelationshipItem* rel = MutableRelationship(rel_id);
-  if (rel == nullptr || rel->deleted) {
-    return Status::NotFound("relationship " + std::to_string(rel_id.raw()));
-  }
-  // Attribute subtrees die with the relationship.
-  std::vector<ObjectId> objs;
-  std::vector<ObjectId> work(rel->children.begin(), rel->children.end());
-  while (!work.empty()) {
-    ObjectId oid = work.back();
-    work.pop_back();
-    const ObjectItem& obj = objects_.at(oid);
-    if (obj.deleted) continue;
-    objs.push_back(oid);
-    work.insert(work.end(), obj.children.begin(), obj.children.end());
-  }
-  for (ObjectId oid : objs) {
-    ObjectItem& obj = objects_.at(oid);
-    UnindexObject(obj);
-    obj.deleted = true;
-    Touch(oid);
-  }
-  for (ObjectId oid : objs) RefreshAttrIndexes(oid);
-  UnindexRelationship(*rel);
-  rel->deleted = true;
-  Touch(rel_id);
-  RefreshRelAttrIndexes(rel_id);
-
+  SEED_ASSIGN_OR_RETURN(const RelationshipItem* rel, GetRelationship(rel_id));
+  ItemStates undo = TombstoneClosure(ObjectId(), rel_id);
+  const size_t items = undo.objects.size() + undo.relationships.size();
   if (!rel->is_pattern) {
     UpdateEvent event{UpdateKind::kDeleteRelationship, this, ObjectId(),
                       rel_id};
-    Status veto = RunProcedures(rel->assoc, event);
-    if (!veto.ok()) {
-      rel->deleted = false;
-      IndexRelationship(*rel);
-      for (ObjectId oid : objs) {
-        ObjectItem& obj = objects_.at(oid);
-        obj.deleted = false;
-        IndexObject(obj);
-      }
-      for (ObjectId oid : objs) RefreshAttrIndexes(oid);
-      RefreshRelAttrIndexes(rel_id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(rel->assoc, event), std::move(undo)));
   }
-  CountDelete(1 + objs.size());
+  CountDelete(items);
   return Status::OK();
 }
 
@@ -942,6 +847,7 @@ Status Database::Reclassify(ObjectId obj_id, ClassId new_cls) {
     }
   }
 
+  ItemStates undo = Prior(obj_id);
   ClassId old_cls = obj->cls;
   EraseFrom(by_class_[old_cls], obj_id);
   obj->cls = new_cls;
@@ -960,17 +866,8 @@ Status Database::Reclassify(ObjectId obj_id, ClassId new_cls) {
   if (!obj->is_pattern) {
     UpdateEvent event{UpdateKind::kReclassifyObject, this, obj_id,
                       RelationshipId()};
-    Status veto = RunProcedures(new_cls, event);
-    if (!veto.ok()) {
-      EraseFrom(by_class_[new_cls], obj_id);
-      obj->cls = old_cls;
-      by_class_[old_cls].push_back(obj_id);
-      extent_counters_.RemoveObject(new_cls);
-      extent_counters_.AddObject(old_cls);
-      MoveParticipantCounts(obj_id, new_cls, old_cls);
-      RefreshAttrIndexes(obj_id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(new_cls, event), std::move(undo)));
   }
   CountReclassify();
   return Status::OK();
@@ -1032,14 +929,11 @@ Result<RelationshipId> Database::CreateRelationship(
   Touch(id);
 
   if (!pattern) {
+    ItemStates undo;
+    undo.erased_relationships.push_back(id);
     UpdateEvent event{UpdateKind::kCreateRelationship, this, ObjectId(), id};
-    Status veto = RunProcedures(assoc_id, event);
-    if (!veto.ok()) {
-      UnindexRelationship(relationships_[id]);
-      relationships_.erase(id);
-      changed_relationships_.erase(id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(assoc_id, event), std::move(undo)));
   }
   CountRelationshipCreated();
   return id;
@@ -1099,41 +993,34 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
       }
     }
     // New memberships (associations on the new chain but not the old one)
-    // must respect maximum participation; temporarily unindex so the
-    // relationship does not count against itself.
-    UnindexRelationship(*rel);
+    // must respect maximum participation. The relationship never counts
+    // against itself there: an association off its old chain has no
+    // family containing the old association.
     std::unordered_set<std::uint64_t> old_chain;
     for (AssociationId a : schema_->GeneralizationChain(rel->assoc)) {
       old_chain.insert(a.raw());
     }
-    Status s = Status::OK();
     for (AssociationId a : new_chain) {
       if (old_chain.count(a.raw()) != 0) continue;
       auto info = schema_->GetAssociation(a);
-      for (int i = 0; i < 2 && s.ok(); ++i) {
+      for (int i = 0; i < 2; ++i) {
         const schema::Role& role = (*info)->roles[i];
         if (role.cardinality.unlimited_max()) continue;
         size_t count = CountParticipation(rel->ends[i], a, i);
         if (count + 1 > role.cardinality.max) {
-          s = Status::ConsistencyViolation(
+          return Status::ConsistencyViolation(
               "maximum role participation: '" + FullName(rel->ends[i]) +
               "' already takes part in " + std::to_string(count) +
               " relationships of '" + (*info)->name + "' as '" + role.name +
               "' (max " + role.cardinality.ToString() + ")");
         }
       }
-      if (!s.ok()) break;
     }
-    if (s.ok()) {
-      s = CheckAcyclicity(new_assoc_id, rel->ends[0], rel->ends[1], rel_id);
-    }
-    if (!s.ok()) {
-      IndexRelationship(*rel);
-      return s;
-    }
-    IndexRelationship(*rel);
+    SEED_RETURN_IF_ERROR(
+        CheckAcyclicity(new_assoc_id, rel->ends[0], rel->ends[1], rel_id));
   }
 
+  ItemStates undo = Prior(rel_id);
   AssociationId old_assoc = rel->assoc;
   EraseFrom(by_assoc_[old_assoc], rel_id);
   rel->assoc = new_assoc_id;
@@ -1150,17 +1037,8 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
   if (!rel->is_pattern) {
     UpdateEvent event{UpdateKind::kReclassifyRelationship, this, ObjectId(),
                       rel_id};
-    Status veto = RunProcedures(new_assoc_id, event);
-    if (!veto.ok()) {
-      EraseFrom(by_assoc_[new_assoc_id], rel_id);
-      rel->assoc = old_assoc;
-      by_assoc_[old_assoc].push_back(rel_id);
-      extent_counters_.RemoveRelationship(new_assoc_id);
-      extent_counters_.AddRelationship(old_assoc);
-      MoveParticipantCounts(*rel, new_assoc_id, old_assoc);
-      RefreshRelAttrIndexes(rel_id);
-      return veto;
-    }
+    SEED_RETURN_IF_ERROR(
+        UndoIfVetoed(RunProcedures(new_assoc_id, event), std::move(undo)));
   }
   CountReclassify();
   return Status::OK();

@@ -77,13 +77,15 @@ struct CreateOptions {
 };
 
 /// A batch of raw item states, tombstones included, keyed like the raw
-/// tables: what version views and restores, Load, checkout import and
-/// check-in write through Database::WriteItemStates.
+/// tables: what version views and restores, Load, checkout import,
+/// check-in, deletes and vetoed updates write through
+/// Database::WriteItemStates.
 struct ItemStates {
   std::map<ObjectId, ObjectItem> objects;
   std::map<RelationshipId, RelationshipItem> relationships;
   /// Items removed outright: a version restore drops the working items
-  /// the version lacks, a rejected check-in the items it created.
+  /// the version lacks, a rejected check-in or a vetoed update the items
+  /// it created.
   std::vector<ObjectId> erased_objects;
   std::vector<RelationshipId> erased_relationships;
   /// When set, the database adopts this schema before deriving: a version
@@ -129,7 +131,8 @@ class Database {
   Status Rename(ObjectId obj, std::string new_name);
 
   /// Deletes an object; cascades to its sub-objects and to all
-  /// relationships it participates in. Items are tombstoned, not removed.
+  /// relationships it participates in, and on through their attributes.
+  /// Items are tombstoned, not removed.
   Status DeleteObject(ObjectId obj);
 
   /// Re-classifies an object within its generalization hierarchy (paper:
@@ -145,6 +148,8 @@ class Database {
                                             ObjectId end0, ObjectId end1,
                                             const CreateOptions& opts = {});
 
+  /// Deletes a relationship with the same cascade as DeleteObject, from
+  /// its attribute sub-objects on.
   Status DeleteRelationship(RelationshipId rel);
 
   /// Re-classifies a relationship within the association generalization
@@ -315,8 +320,10 @@ class Database {
   }
 
   /// The one bulk write path, for a fresh database and a live one alike:
-  /// adopts `states.schema` when set, erases the listed ids and writes
-  /// every state over the same-id item. The derived state follows
+  /// version views and restores, Load, checkout import, check-in and its
+  /// rollback, the tombstones of a delete and the undo of a vetoed
+  /// update. Adopts `states.schema` when set, erases the listed ids and
+  /// writes every state over the same-id item. The derived state follows
   /// incrementally: the old live states of the written and erased ids
   /// leave the retrieval maps, extent counters and attribute indexes, the
   /// new ones enter them, and so do the attribute entries of the owners of
@@ -326,8 +333,9 @@ class Database {
   /// empty database it is the single id-ordered pass of RebuildIndexes(). A
   /// batch that adopts a different schema re-derives everything instead.
   /// Erased ids must not also be written. Written ids count as changed
-  /// (callers building a fresh database clear change tracking); id
-  /// generators reserve through every written id and never move back.
+  /// (callers building a fresh database clear change tracking), erased
+  /// ids no longer do; id generators reserve through every written id and
+  /// never move back.
   /// Bypasses consistency checks; callers are trusted layers that audit
   /// afterwards where it matters.
   void WriteItemStates(ItemStates states);
@@ -409,37 +417,35 @@ class Database {
   // -- Index maintenance --
   struct ListRemovals;
   void IndexObject(const ObjectItem& obj);
-  /// With `deferred`, the item's removal from by_class_ / by_assoc_ /
-  /// rels_by_object_ is recorded there for one EraseListed() pass.
-  void UnindexObject(const ObjectItem& obj, ListRemovals* deferred = nullptr);
+  /// The item's removal from by_class_ / by_assoc_ / rels_by_object_ and
+  /// the link indexes is recorded in `gone` for one EraseListed() pass.
+  void UnindexObject(const ObjectItem& obj, ListRemovals* gone);
   void IndexRelationship(const RelationshipItem& rel);
-  void UnindexRelationship(const RelationshipItem& rel,
-                           ListRemovals* deferred = nullptr);
+  void UnindexRelationship(const RelationshipItem& rel, ListRemovals* gone);
   void EraseListed(const ListRemovals& gone);
   /// Class of a relationship end, tombstoned or not (degree statistics
   /// must see the class an end had when the relationship was indexed).
   ClassId EndClass(ObjectId id) const;
   /// Moves the degree statistics of every live non-pattern relationship
-  /// end filled by `obj` from `from_cls` to `to_cls` (object reclassify
-  /// and its veto rollback).
+  /// end filled by `obj` from `from_cls` to `to_cls` (object reclassify,
+  /// and a bulk write that changes an end's class).
   void MoveParticipantCounts(ObjectId obj, ClassId from_cls, ClassId to_cls);
   /// Moves both ends' degree statistics of `rel` from `from_assoc` to
-  /// `to_assoc` (relationship reclassify and its veto rollback).
+  /// `to_assoc` (relationship reclassify).
   void MoveParticipantCounts(const RelationshipItem& rel,
                              AssociationId from_assoc,
                              AssociationId to_assoc);
   void Touch(ObjectId id) { changed_objects_.insert(id); }
   void Touch(RelationshipId id) { changed_relationships_.insert(id); }
   /// Re-derives the attribute-index entries of `id` (post-mutation hook;
-  /// idempotent). The WithParent variant also refreshes the owning parent
-  /// when `id` is a dependent sub-object, since the parent's role-keyed
-  /// entries derive from its children's values; ParentOf refreshes only
-  /// that owner — the owning object, or the owning *relationship* when the
-  /// sub-object is a relationship attribute. RefreshRelAttrIndexes is the
-  /// relationship-extent hook (create/delete/reclassify/rollback paths).
+  /// idempotent). The WithParent variant also refreshes the owner when
+  /// `id` is a dependent sub-object — the owning object, or the owning
+  /// *relationship* when the sub-object is a relationship attribute —
+  /// since the owner's role-keyed entries derive from its children's
+  /// values. RefreshRelAttrIndexes is the relationship-extent hook
+  /// (relationship reclassify, bulk writes and rebuilds).
   void RefreshAttrIndexes(ObjectId id);
   void RefreshAttrIndexesWithParent(ObjectId id);
-  void RefreshAttrIndexParentOf(ObjectId id);
   void RefreshRelAttrIndexes(RelationshipId id);
 
   /// A plain member-wise copy; Copy() then resets what a copy must not
@@ -452,8 +458,21 @@ class Database {
   Result<ObjectId> CreateSubObjectImpl(ParentKind kind, ObjectId pobj,
                                        RelationshipId prel,
                                        std::string_view role);
-  Status DeleteObjectImpl(ObjectId id, bool cascade_into_relationships);
-  Status DeleteRelationshipImpl(RelationshipId id);
+
+  // -- Veto rollback --
+  /// The current state of one item, as the batch that undoes an update
+  /// of it.
+  ItemStates Prior(ObjectId id) const;
+  ItemStates Prior(RelationshipId id) const;
+  /// On a veto, writes `prior` back through WriteItemStates(); returns
+  /// `veto` either way. An update records in `prior` the states of the
+  /// items it overwrites and, as erased, the ids it creates.
+  Status UndoIfVetoed(Status veto, ItemStates prior);
+  /// Tombstones the delete closure of the live object `obj` or, when it
+  /// is invalid, of the live relationship `rel`: the sub-object trees of
+  /// every collected item and every live relationship of every collected
+  /// object, transitively. Returns the closure's prior states.
+  ItemStates TombstoneClosure(ObjectId obj, RelationshipId rel);
 
   schema::SchemaPtr schema_;
   std::uint64_t instance_id_ = 0;

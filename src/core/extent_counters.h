@@ -6,9 +6,9 @@
 // points that keep its name/class/association maps current (IndexObject /
 // UnindexObject and the relationship twins), so the counts are exact at
 // all times: after create, delete cascade, reclassify, veto rollback,
-// version restore and persistence load (the bulk paths go through
-// Database::WriteItemStates, which unindexes the old and indexes the new
-// states through the same hooks). Pattern items are excluded — they are
+// version restore and persistence load (deletes, rollbacks and the bulk
+// paths go through Database::WriteItemStates, which unindexes the old and
+// indexes the new states through the same hooks). Pattern items are excluded — they are
 // invisible to the query layer's extents.
 //
 // Degree statistics ride on the same hooks: per (association, role,
@@ -19,7 +19,7 @@
 // actually touch. Relationship create/delete maintain both ends;
 // reclassifying an object migrates its ends' counts between classes, and
 // reclassifying a relationship migrates them between associations
-// (Database::MoveParticipantCounts, run forward and on veto rollback).
+// (Database::MoveParticipantCounts).
 //
 // Family (generalization-closed) counts are summed on demand over the
 // schema's class/association family, which is small; the per-extent

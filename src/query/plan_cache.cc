@@ -70,16 +70,6 @@ void PlanCache::NoteMiss() {
   misses->Increment();
 }
 
-void PlanCache::set_drift_ratio(double ratio) {
-  common::MutexLock lock(mu_);
-  drift_ratio_ = ratio;
-}
-
-double PlanCache::drift_ratio() const {
-  common::MutexLock lock(mu_);
-  return drift_ratio_;
-}
-
 void PlanCache::Clear() {
   common::MutexLock lock(mu_);
   entries_.clear();

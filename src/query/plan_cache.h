@@ -10,15 +10,16 @@
 // stores a plan *skeleton*: per binder, the chosen access-path kind as
 // its ordered index legs (index specs plus which extracted sargable
 // conjunct feeds each leg). On a hit the planner re-binds the live
-// literals into the skeleton and skips index selection, access-path
-// costing, and the join-order DP entirely.
+// literals into the skeleton and skips index selection and access-path
+// costing. The join order is never cached: hit or miss, the join-order
+// DP runs once on the binders' actual sizes.
 //
 // Staleness is handled in two layers:
 //  * Hard invalidation — an index referenced by the skeleton no longer
 //    exists, or any captured statistics fingerprint (extent counts,
-//    index entry counts) has drifted past `drift_ratio()` (default 2x,
-//    smoothed so 0-vs-small never divides by zero). The entry is
-//    dropped and the query planned fresh.
+//    index entry counts) has drifted past `kDriftRatio` (2x, smoothed
+//    so 0-vs-small never divides by zero). The entry is dropped and the
+//    query planned fresh.
 //  * Soft staleness — drift within the ratio. The skeleton is reused
 //    as-is; estimate fields are recomputed from live statistics at
 //    re-bind, so EXPLAIN output never shows stale numbers.
@@ -97,9 +98,8 @@ class PlanCache {
   void NoteMiss();
 
   /// Invalidation threshold: an entry dies when any live fingerprint
-  /// `l` vs captured `c` has (l+1)/(c+1) or (c+1)/(l+1) > ratio.
-  void set_drift_ratio(double ratio) SEED_EXCLUDES(mu_);
-  double drift_ratio() const SEED_EXCLUDES(mu_);
+  /// `l` vs captured `c` has (l+1)/(c+1) or (c+1)/(l+1) > kDriftRatio.
+  static constexpr double kDriftRatio = 2.0;
 
   void Clear() SEED_EXCLUDES(mu_);
   size_t size() const SEED_EXCLUDES(mu_);
@@ -116,7 +116,6 @@ class PlanCache {
   std::unordered_map<std::string, Slot> entries_ SEED_GUARDED_BY(mu_);
   /// Most-recently-used at the front; Insert evicts from the back.
   std::list<std::string> lru_ SEED_GUARDED_BY(mu_);
-  double drift_ratio_ SEED_GUARDED_BY(mu_) = 2.0;
 };
 
 }  // namespace seed::query

@@ -1564,12 +1564,11 @@ std::optional<std::vector<Planner::Plan>> Planner::TryCachedSelects(
   if (std::optional<std::vector<std::uint64_t>> live =
           LiveFingerprints(chain, *cached);
       live.has_value() && live->size() == cached->fingerprints.size()) {
-    const double ratio = cache.drift_ratio();
     usable = true;
     for (size_t i = 0; i < live->size(); ++i) {
       const double l = static_cast<double>((*live)[i]) + 1.0;
       const double c = static_cast<double>(cached->fingerprints[i]) + 1.0;
-      if (l / c > ratio || c / l > ratio) {
+      if (std::max(l / c, c / l) > PlanCache::kDriftRatio) {
         usable = false;
         break;
       }

@@ -4,7 +4,9 @@
 // check-in the audit rejects must leave the master exactly as it was.
 // Batches written into a live database must derive what a from-scratch
 // RebuildIndexes derives, and a checkout must ship the relationships a
-// full scan of the master finds.
+// full scan of the master finds. Deletes and vetoed updates write through
+// the same path: a delete's cascade leaves no live relationship ending at
+// a tombstone, and a vetoed update leaves no trace.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "core/persistence.h"
 #include "multiuser/client.h"
 #include "multiuser/server.h"
+#include "obs/metrics.h"
 #include "random_edits.h"
 #include "schema/schema_builder.h"
 #include "spades/spec_schema.h"
@@ -453,6 +457,56 @@ TEST_F(BuildPathsTest, RebuildDropsLinksOfOverwrittenStates) {
   EXPECT_EQ(db.ObjectsLinkedTo(desc), std::vector<ObjectId>{from});
 }
 
+TEST_F(BuildPathsTest, DeletedWriteTakesTheCitesOfItsAttribute) {
+  // Fig. 3 plus relationships between relationship attributes: deleting a
+  // Write tombstones its NumberOfWrites and so every Cites ending there.
+  auto builder = schema::SchemaBuilder::Evolve(*schema_);
+  AssociationId cites = builder.AddAssociation(
+      "Cites", schema::Role{"count", ids_.number_of_writes,
+                            schema::Cardinality::Any()},
+      schema::Role{"cited", ids_.number_of_writes,
+                   schema::Cardinality::Any()});
+  auto schema = builder.Build();
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  Database db(*schema);
+  ASSERT_TRUE(db.CreateAttributeIndex(index::IndexSpec::ForAssociation(
+                                          ids_.write, "NumberOfWrites"))
+                  .ok());
+  ObjectId log = *db.CreateObject(ids_.output_data, "Log");
+  RelationshipId write = *db.CreateRelationship(
+      ids_.write, log, *db.CreateObject(ids_.action, "First"));
+  RelationshipId kept = *db.CreateRelationship(
+      ids_.write, log, *db.CreateObject(ids_.action, "Second"));
+  ObjectId count = *db.CreateSubObject(write, "NumberOfWrites");
+  ObjectId kept_count = *db.CreateSubObject(kept, "NumberOfWrites");
+  ASSERT_TRUE(db.SetValue(count, Value::Int(2)).ok());
+  ASSERT_TRUE(db.SetValue(kept_count, Value::Int(3)).ok());
+  RelationshipId cite = *db.CreateRelationship(cites, kept_count, count);
+
+  db.AttachProcedure(ids_.write, [](const core::UpdateEvent& e) {
+    return e.kind == core::UpdateKind::kDeleteRelationship
+               ? Status::FailedPrecondition("writes are frozen")
+               : Status::OK();
+  });
+  const auto raw_before = RawItems(db);
+  const auto derived_before = DerivedState(db);
+  EXPECT_FALSE(db.DeleteRelationship(write).ok());
+  EXPECT_EQ(raw_before, RawItems(db));
+  EXPECT_EQ(derived_before, DerivedState(db));
+
+  db.DetachProcedures(ids_.write);
+  const obs::Counter* cascade =
+      obs::MetricsRegistry::Global().GetCounter("core.cascade.items.total");
+  const std::uint64_t cascaded = cascade->value();
+  ASSERT_TRUE(db.DeleteRelationship(write).ok());
+  EXPECT_TRUE(db.objects_raw().at(count).deleted);
+  EXPECT_TRUE(db.relationships_raw().at(cite).deleted);
+  EXPECT_FALSE(db.objects_raw().at(kept_count).deleted);
+  EXPECT_TRUE(db.AuditConsistency().clean());
+  EXPECT_EQ(cascade->value(), cascaded + 3);  // Write, count and Cites
+  EXPECT_EQ(RebuiltState(db), DerivedState(db));
+}
+
 // The long randomized cases, run as their own slow ctest entry.
 using BuildPathsRandomizedTest = BuildPathsTest;
 
@@ -529,6 +583,63 @@ TEST_F(BuildPathsRandomizedTest, IncrementalWritesDeriveWhatARebuildDerives) {
     EXPECT_EQ(RebuiltState(live), DerivedState(live));
     EXPECT_EQ(DerivedState(edited), DerivedState(live));
   }
+}
+
+TEST_F(BuildPathsRandomizedTest, VetoedEditsLeaveNoTrace) {
+  std::set<core::UpdateKind> vetoed_kinds;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    int serial = 0;
+    Database db(schema_);
+    ASSERT_TRUE(db.CreateAttributeIndex({ids_.action, "Description"}).ok());
+    ASSERT_TRUE(db.CreateAttributeIndex(index::IndexSpec::ForAssociation(
+                                            ids_.write, "NumberOfWrites"))
+                    .ok());
+    // Every class and association carries a procedure that counts the
+    // updates it sees and vetoes each one while `veto` is set.
+    bool veto = false;
+    int seen = 0;
+    auto procedure = [&](const core::UpdateEvent& e) {
+      ++seen;
+      if (!veto) return Status::OK();
+      vetoed_kinds.insert(e.kind);
+      return Status::FailedPrecondition("vetoed");
+    };
+    for (ClassId cls : schema_->AllClassIds()) {
+      db.AttachProcedure(cls, procedure);
+    }
+    for (AssociationId assoc : schema_->AllAssociationIds()) {
+      db.AttachProcedure(assoc, procedure);
+    }
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      veto = step >= 100 && rng.Bernoulli(0.5);
+      seen = 0;
+      const auto raw_before = RawItems(db);
+      const auto derived_before =
+          veto ? DerivedState(db) : std::vector<std::string>();
+      const auto [first_object, first_relationship] = Watermarks(db);
+      RandomEdit(ids_, &rng, &db, &serial);
+      ASSERT_EQ(RebuiltState(db), DerivedState(db));
+      // Pattern edits and edits that fail a precondition run no
+      // procedure; any other edit stops at its first update, the veto.
+      if (!veto || seen == 0) continue;
+      ASSERT_EQ(raw_before, RawItems(db));
+      ASSERT_EQ(derived_before, DerivedState(db));
+      const auto [end_object, end_relationship] = Watermarks(db);
+      for (auto raw = first_object; raw < end_object; ++raw) {
+        EXPECT_EQ(db.changed_objects().count(ObjectId(raw)), 0u) << raw;
+      }
+      for (auto raw = first_relationship; raw < end_relationship; ++raw) {
+        EXPECT_EQ(db.changed_relationships().count(RelationshipId(raw)), 0u)
+            << raw;
+      }
+    }
+    EXPECT_TRUE(db.AuditConsistency().clean());
+  }
+  // Every kind of update was vetoed at least once.
+  EXPECT_EQ(vetoed_kinds.size(), 10u);
 }
 
 TEST_F(BuildPathsRandomizedTest,

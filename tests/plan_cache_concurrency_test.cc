@@ -59,8 +59,8 @@ TEST(PlanCacheConcurrencyTest, ConcurrentQueriesAndInvalidations) {
       }
     });
   }
-  // One antagonist invalidates, clears, and flips the drift ratio while
-  // the readers run — every mutation the server could issue.
+  // One antagonist inserts, invalidates, clears and looks up while the
+  // readers run — every cache mutation a server session can make.
   threads.emplace_back([&] {
     PlanCache& cache = PlanCache::Global();
     for (int i = 0; i < 300; ++i) {
@@ -71,9 +71,6 @@ TEST(PlanCacheConcurrencyTest, ConcurrentQueriesAndInvalidations) {
         case 1:
           cache.Invalidate("antagonist-" + std::to_string(i - 1));
           break;
-        case 2:
-          cache.set_drift_ratio(i % 8 == 2 ? 4.0 : 2.0);
-          break;
         default:
           if (i % 40 == 3) {
             cache.Clear();
@@ -83,7 +80,6 @@ TEST(PlanCacheConcurrencyTest, ConcurrentQueriesAndInvalidations) {
           break;
       }
     }
-    cache.set_drift_ratio(2.0);
   });
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
