@@ -485,20 +485,43 @@ void Database::RefreshRelAttrIndexes(RelationshipId id) {
 
 // --- Veto rollback -----------------------------------------------------------
 
-ItemStates Database::Prior(ObjectId id) const {
+Database::Undo Database::UndoOf(ItemStates prior) const {
+  Undo undo;
+  for (const auto& [id, obj] : prior.objects) {
+    if (changed_objects_.count(id) == 0) undo.unchanged_objects.push_back(id);
+  }
+  for (const auto& [id, rel] : prior.relationships) {
+    if (changed_relationships_.count(id) == 0) {
+      undo.unchanged_relationships.push_back(id);
+    }
+  }
+  undo.prior = std::move(prior);
+  return undo;
+}
+
+Database::Undo Database::Prior(ObjectId id) const {
+  if (!CanVeto()) return Undo();
   ItemStates prior;
   prior.objects.emplace(id, objects_.at(id));
-  return prior;
+  return UndoOf(std::move(prior));
 }
 
-ItemStates Database::Prior(RelationshipId id) const {
+Database::Undo Database::Prior(RelationshipId id) const {
+  if (!CanVeto()) return Undo();
   ItemStates prior;
   prior.relationships.emplace(id, relationships_.at(id));
-  return prior;
+  return UndoOf(std::move(prior));
 }
 
-Status Database::UndoIfVetoed(Status veto, ItemStates prior) {
-  if (!veto.ok()) WriteItemStates(std::move(prior));
+Status Database::UndoIfVetoed(Status veto, Undo undo) {
+  if (veto.ok()) return veto;
+  // The write touches every item it restores; the ones the update found
+  // unchanged leave the change sets again (created ones leave as erased).
+  WriteItemStates(std::move(undo.prior));
+  for (ObjectId id : undo.unchanged_objects) changed_objects_.erase(id);
+  for (RelationshipId id : undo.unchanged_relationships) {
+    changed_relationships_.erase(id);
+  }
   return veto;
 }
 
@@ -529,8 +552,8 @@ Result<ObjectId> Database::CreateObject(ClassId cls, std::string name,
   Touch(id);
 
   if (!opts.pattern) {
-    ItemStates undo;
-    undo.erased_objects.push_back(id);
+    Undo undo;
+    undo.prior.erased_objects.push_back(id);
     UpdateEvent event{UpdateKind::kCreateObject, this, id, RelationshipId()};
     SEED_RETURN_IF_ERROR(
         UndoIfVetoed(RunProcedures(cls, event), std::move(undo)));
@@ -591,8 +614,8 @@ Result<ObjectId> Database::CreateSubObjectImpl(ParentKind kind,
   obj.is_pattern = parent_is_pattern;
   ObjectId id = obj.id;
   // A veto restores the parent's child list and erases the new object.
-  ItemStates undo = kind == ParentKind::kObject ? Prior(pobj) : Prior(prel);
-  undo.erased_objects.push_back(id);
+  Undo undo = kind == ParentKind::kObject ? Prior(pobj) : Prior(prel);
+  undo.prior.erased_objects.push_back(id);
   objects_[id] = std::move(obj);
   siblings->push_back(id);
   if (kind == ParentKind::kObject) linked_objects_.emplace(id, pobj);
@@ -642,7 +665,7 @@ Status Database::SetValue(ObjectId obj_id, Value value) {
   if (!obj->is_pattern) {
     SEED_RETURN_IF_ERROR(CheckValueConforms(*cls, value));
   }
-  ItemStates undo = Prior(obj_id);
+  Undo undo = Prior(obj_id);
   obj->value = std::move(value);
   Touch(obj_id);
   RefreshAttrIndexesWithParent(obj_id);
@@ -661,7 +684,7 @@ Status Database::ClearValue(ObjectId obj_id) {
   if (obj == nullptr || obj->deleted) {
     return Status::NotFound("object " + std::to_string(obj_id.raw()));
   }
-  ItemStates undo = Prior(obj_id);
+  Undo undo = Prior(obj_id);
   obj->value = Value();
   Touch(obj_id);
   RefreshAttrIndexesWithParent(obj_id);
@@ -692,7 +715,7 @@ Status Database::Rename(ObjectId obj_id, std::string new_name) {
   SEED_RETURN_IF_ERROR(
       CheckIndependentName(new_name, obj->is_pattern, obj_id));
 
-  ItemStates undo = Prior(obj_id);
+  Undo undo = Prior(obj_id);
   auto& idx = obj->is_pattern ? pattern_name_index_ : name_index_;
   idx.erase(obj->name);
   obj->name = std::move(new_name);
@@ -710,7 +733,7 @@ Status Database::Rename(ObjectId obj_id, std::string new_name) {
 
 // --- Deletion ----------------------------------------------------------------
 
-ItemStates Database::TombstoneClosure(ObjectId obj, RelationshipId rel) {
+Database::Undo Database::TombstoneClosure(ObjectId obj, RelationshipId rel) {
   // The closure: the root, the live sub-object trees of every collected
   // item, and every live relationship of a collected object, transitively,
   // so that no live relationship ends at a tombstone.
@@ -743,14 +766,16 @@ ItemStates Database::TombstoneClosure(ObjectId obj, RelationshipId rel) {
   ItemStates tombstones = prior;
   for (auto& [id, item] : tombstones.objects) item.deleted = true;
   for (auto& [id, item] : tombstones.relationships) item.deleted = true;
+  Undo undo = UndoOf(std::move(prior));
   WriteItemStates(std::move(tombstones));
-  return prior;
+  return undo;
 }
 
 Status Database::DeleteObject(ObjectId root_id) {
   SEED_ASSIGN_OR_RETURN(const ObjectItem* root, GetObject(root_id));
-  ItemStates undo = TombstoneClosure(root_id, RelationshipId());
-  const size_t items = undo.objects.size() + undo.relationships.size();
+  Undo undo = TombstoneClosure(root_id, RelationshipId());
+  const size_t items =
+      undo.prior.objects.size() + undo.prior.relationships.size();
   if (!root->is_pattern) {
     UpdateEvent event{UpdateKind::kDeleteObject, this, root_id,
                       RelationshipId()};
@@ -763,8 +788,9 @@ Status Database::DeleteObject(ObjectId root_id) {
 
 Status Database::DeleteRelationship(RelationshipId rel_id) {
   SEED_ASSIGN_OR_RETURN(const RelationshipItem* rel, GetRelationship(rel_id));
-  ItemStates undo = TombstoneClosure(ObjectId(), rel_id);
-  const size_t items = undo.objects.size() + undo.relationships.size();
+  Undo undo = TombstoneClosure(ObjectId(), rel_id);
+  const size_t items =
+      undo.prior.objects.size() + undo.prior.relationships.size();
   if (!rel->is_pattern) {
     UpdateEvent event{UpdateKind::kDeleteRelationship, this, ObjectId(),
                       rel_id};
@@ -847,7 +873,7 @@ Status Database::Reclassify(ObjectId obj_id, ClassId new_cls) {
     }
   }
 
-  ItemStates undo = Prior(obj_id);
+  Undo undo = Prior(obj_id);
   ClassId old_cls = obj->cls;
   EraseFrom(by_class_[old_cls], obj_id);
   obj->cls = new_cls;
@@ -929,8 +955,8 @@ Result<RelationshipId> Database::CreateRelationship(
   Touch(id);
 
   if (!pattern) {
-    ItemStates undo;
-    undo.erased_relationships.push_back(id);
+    Undo undo;
+    undo.prior.erased_relationships.push_back(id);
     UpdateEvent event{UpdateKind::kCreateRelationship, this, ObjectId(), id};
     SEED_RETURN_IF_ERROR(
         UndoIfVetoed(RunProcedures(assoc_id, event), std::move(undo)));
@@ -1020,7 +1046,7 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
         CheckAcyclicity(new_assoc_id, rel->ends[0], rel->ends[1], rel_id));
   }
 
-  ItemStates undo = Prior(rel_id);
+  Undo undo = Prior(rel_id);
   AssociationId old_assoc = rel->assoc;
   EraseFrom(by_assoc_[old_assoc], rel_id);
   rel->assoc = new_assoc_id;

@@ -162,6 +162,12 @@ class Database {
   /// Patterns are invisible here.
   Result<ObjectId> FindObjectByName(std::string_view path) const;
 
+  /// The live non-pattern independent object named exactly `name`, or an
+  /// invalid id: one lookup in the name index, no path parsing. A name
+  /// only a pattern holds gives an invalid id, as patterns are outside
+  /// every ObjectsOfClass extent.
+  ObjectId ObjectNamed(const std::string& name) const;
+
   /// Resolves a dotted path among pattern items.
   Result<ObjectId> FindPatternByName(std::string_view path) const;
 
@@ -460,19 +466,34 @@ class Database {
                                        std::string_view role);
 
   // -- Veto rollback --
-  /// The current state of one item, as the batch that undoes an update
-  /// of it.
-  ItemStates Prior(ObjectId id) const;
-  ItemStates Prior(RelationshipId id) const;
-  /// On a veto, writes `prior` back through WriteItemStates(); returns
-  /// `veto` either way. An update records in `prior` the states of the
-  /// items it overwrites and, as erased, the ids it creates.
-  Status UndoIfVetoed(Status veto, ItemStates prior);
+  /// What undoes one update: `prior` holds the states of the items it
+  /// overwrites and, as erased, the ids it creates; `unchanged_*` are
+  /// the overwritten ids the change sets did not hold before it.
+  struct Undo {
+    ItemStates prior;
+    std::vector<ObjectId> unchanged_objects;
+    std::vector<RelationshipId> unchanged_relationships;
+  };
+  /// `prior` as an Undo, reading which of its items are unchanged off
+  /// the change sets; call it before the update touches them.
+  Undo UndoOf(ItemStates prior) const;
+  /// True when some procedure is attached, so an update can be vetoed.
+  bool CanVeto() const {
+    return !class_procedures_.empty() || !assoc_procedures_.empty();
+  }
+  /// The current state of one item, as the Undo of an update of it; an
+  /// empty Undo when nothing can veto the update.
+  Undo Prior(ObjectId id) const;
+  Undo Prior(RelationshipId id) const;
+  /// On a veto, writes `undo.prior` back through WriteItemStates() and
+  /// takes the unchanged ids out of the change sets again, so both sets
+  /// hold what they held before the update; returns `veto` either way.
+  Status UndoIfVetoed(Status veto, Undo undo);
   /// Tombstones the delete closure of the live object `obj` or, when it
   /// is invalid, of the live relationship `rel`: the sub-object trees of
   /// every collected item and every live relationship of every collected
-  /// object, transitively. Returns the closure's prior states.
-  ItemStates TombstoneClosure(ObjectId obj, RelationshipId rel);
+  /// object, transitively. Returns the Undo of the closure.
+  Undo TombstoneClosure(ObjectId obj, RelationshipId rel);
 
   schema::SchemaPtr schema_;
   std::uint64_t instance_id_ = 0;

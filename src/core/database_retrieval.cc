@@ -13,11 +13,10 @@ namespace seed::core {
 
 Result<ObjectId> Database::FindObjectByName(std::string_view path) const {
   SEED_ASSIGN_OR_RETURN(auto segments, strings::ParsePath(path));
-  auto root_it = name_index_.find(segments[0].name);
-  if (root_it == name_index_.end()) {
+  ObjectId cur = ObjectNamed(segments[0].name);
+  if (!cur.valid()) {
     return Status::NotFound("no object named '" + segments[0].name + "'");
   }
-  ObjectId cur = root_it->second;
   for (size_t i = 1; i < segments.size(); ++i) {
     const ObjectItem& parent = objects_.at(cur);
     auto dep_cls = schema_->ResolveSubObjectRole(parent.cls,
@@ -33,6 +32,11 @@ Result<ObjectId> Database::FindObjectByName(std::string_view path) const {
     cur = child;
   }
   return cur;
+}
+
+ObjectId Database::ObjectNamed(const std::string& name) const {
+  auto it = name_index_.find(name);
+  return it == name_index_.end() ? ObjectId() : it->second;
 }
 
 Result<ObjectId> Database::FindPatternByName(std::string_view path) const {

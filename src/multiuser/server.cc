@@ -36,6 +36,19 @@ void CountSnapshotPin() {
       "server.snapshot.pins.total");
   pins->Increment();
 }
+
+/// Drops a displaced snapshot outside the locks. When this is its last
+/// reference, the free (an O(database) teardown) is timed.
+void ReleaseSnapshot(version::SnapshotPtr snap) {
+  static obs::Histogram* release_ns =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "server.snapshot.release.ns");
+  // Displaced snapshots are unreachable from the server, so a count of
+  // one cannot grow again.
+  if (snap == nullptr || snap.use_count() != 1) return;
+  obs::ScopedTimer timer(release_ns);
+  snap.reset();
+}
 }  // namespace
 
 Server::Server(schema::SchemaPtr schema) : schema_(std::move(schema)) {
@@ -100,9 +113,12 @@ version::SnapshotPtr Server::PublishSnapshotLocked() {
 }
 
 void Server::PublishSnapshot() {
-  version::SnapshotPtr displaced;  // dropped after the lock
-  common::MutexLock lock(master_mu_);
-  displaced = PublishSnapshotLocked();
+  version::SnapshotPtr displaced;
+  {
+    common::MutexLock lock(master_mu_);
+    displaced = PublishSnapshotLocked();
+  }
+  ReleaseSnapshot(std::move(displaced));
 }
 
 version::SnapshotPtr Server::PinLatest() {
@@ -149,15 +165,17 @@ Result<version::SnapshotPtr> Server::SessionSnapshot(ClientId client) {
 
 Status Server::RefreshSession(ClientId client) {
   version::SnapshotPtr snap = PinLatest();
-  common::MutexLock lock(sessions_mu_);
-  auto it = clients_.find(client);
-  if (it == clients_.end()) {
-    return Status::NotFound("client " + std::to_string(client.raw()));
+  {
+    common::MutexLock lock(sessions_mu_);
+    auto it = clients_.find(client);
+    if (it == clients_.end()) {
+      return Status::NotFound("client " + std::to_string(client.raw()));
+    }
+    it->second.snapshot.swap(snap);
+    CountSnapshotPin();
   }
-  // The displaced pin may be the last one: swapped out, it is freed after
-  // the lock is dropped (declared before the lock, destroyed after it).
-  it->second.snapshot.swap(snap);
-  CountSnapshotPin();
+  // The displaced pin may be the last one.
+  ReleaseSnapshot(std::move(snap));
   return Status::OK();
 }
 
@@ -347,6 +365,9 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
       obs::MetricsRegistry::Global().GetHistogram("server.checkin.audit.ns");
   static obs::Histogram* publish_ns =
       obs::MetricsRegistry::Global().GetHistogram("server.checkin.publish.ns");
+  static obs::Histogram* lock_wait_ns =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "server.checkin.lock_wait.ns");
   auto reject = [this](Status why) {
     checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
     CountCheckinRejected();
@@ -357,7 +378,9 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
   // The snapshot the commit displaces; freed once both locks are dropped.
   version::SnapshotPtr displaced;
   {
+    const std::uint64_t wait_start = obs::NowNanos();
     common::MutexLock lock(master_mu_);
+    lock_wait_ns->Record(obs::NowNanos() - wait_start);
 
     // --- Validate lock coverage, logging each item's prior state -------------
     // The undo batch restores what an item was, or erases it when the
@@ -455,6 +478,7 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
   locks_.ReleaseAllOf(client);
   LocksHeldGauge()->Set(static_cast<std::int64_t>(locks_.num_held()));
   (void)RefreshSession(client);
+  ReleaseSnapshot(std::move(displaced));
   checkins_applied_.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter* applied = obs::MetricsRegistry::Global().GetCounter(
       "multiuser.checkins.applied.total");

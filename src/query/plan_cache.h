@@ -8,8 +8,8 @@
 // instance, classes, associations, roles, and the predicate tree with
 // literals parameterized out — see Planner's shape-key builder) and
 // stores a plan *skeleton*: per binder, the chosen access-path kind as
-// its ordered index legs (index specs plus which extracted sargable
-// conjunct feeds each leg). On a hit the planner re-binds the live
+// its ordered legs (index specs, or the name index, plus which extracted
+// sargable conjunct feeds each leg). On a hit the planner re-binds the live
 // literals into the skeleton and skips index selection and access-path
 // costing. The join order is never cached: hit or miss, the join-order
 // DP runs once on the binders' actual sizes.
@@ -56,10 +56,13 @@ namespace seed::query {
 /// (re-bound from the live chain), no estimates (recomputed live).
 struct CachedPlan {
   /// One access-path leg: probe/scan `spec` with the bounds of the
-  /// binder's `sarg_ordinal`-th extracted sargable conjunct.
+  /// binder's `sarg_ordinal`-th extracted sargable conjunct, or, when
+  /// `by_name`, look that conjunct's name up in the name index (`spec`
+  /// unused; such a leg adds no fingerprint).
   struct Leg {
     index::IndexSpec spec;
     size_t sarg_ordinal = 0;
+    bool by_name = false;
   };
   /// One binder's access path. No legs = full scan; one leg = single
   /// index probe/range; several = index intersection in stored order.
@@ -68,8 +71,8 @@ struct CachedPlan {
   };
   std::vector<Select> selects;
   /// Statistics captured at planning time, in the planner's canonical
-  /// order (per binder: extent count; per leg: index entry count; per
-  /// hop: association extent count). The planner recomputes the live
+  /// order (per binder: extent count; per index leg: index entry count;
+  /// per hop: association extent count). The planner recomputes the live
   /// sequence on lookup and invalidates past the drift ratio.
   std::vector<std::uint64_t> fingerprints;
 };

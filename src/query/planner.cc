@@ -19,9 +19,11 @@ namespace {
 using Kind = PredicateShape::Kind;
 
 /// A sargable conjunct: an attribute (own value when `role` empty) probed
-/// by equality keys or by an integer range.
+/// by equality keys or by an integer range, or, when `by_name`, a
+/// top-level `name is keys[0]` served by the name index.
 struct Sarg {
   std::string role;
+  bool by_name = false;
   bool is_range = false;
   std::vector<core::Value> keys;  // equality probes
   core::Value lo, hi;             // range bounds
@@ -103,7 +105,9 @@ bool ExtractSarg(const PredicateShape* shape, std::string role, Sarg* out) {
 /// The binder's sargable conjuncts in extraction order — the ordinal
 /// space Plan::Leg::sarg_ordinal indexes into. Counts *every* sargable
 /// conjunct (indexed or not), so the ordinal of a conjunct is derivable
-/// from the predicate alone when a cached skeleton is re-bound.
+/// from the predicate alone when a cached skeleton is re-bound. Only a
+/// top-level `name is` is a name sarg: under OnSubObject it would test a
+/// dependent object, which has no name.
 std::vector<Sarg> CollectObjectSargs(const Predicate& p) {
   std::vector<Sarg> out;
   if (p.shape() == nullptr) return out;
@@ -111,9 +115,27 @@ std::vector<Sarg> CollectObjectSargs(const Predicate& p) {
   CollectConjuncts(p.shape(), &conjuncts);
   for (const PredicateShape* conjunct : conjuncts) {
     Sarg sarg;
-    if (ExtractSarg(conjunct, "", &sarg)) out.push_back(std::move(sarg));
+    if (conjunct->kind == Kind::kNameIs) {
+      sarg.by_name = true;
+      sarg.keys = {core::Value::String(conjunct->text)};
+    } else if (!ExtractSarg(conjunct, "", &sarg)) {
+      continue;
+    }
+    out.push_back(std::move(sarg));
   }
   return out;
+}
+
+/// True iff `id` is a live non-pattern object in the extent of `cls`
+/// (specializations included when asked): membership as ObjectsOfClass
+/// defines it.
+bool InClassExtent(const core::Database& db, ObjectId id, ClassId cls,
+                   bool include_specializations) {
+  auto obj = db.GetObject(id);
+  if (!obj.ok() || (*obj)->is_pattern) return false;
+  return include_specializations
+             ? db.schema()->IsSameOrSpecializationOf((*obj)->cls, cls)
+             : (*obj)->cls == cls;
 }
 
 /// Same ordinal space for a relationship binder: one sarg per condition
@@ -221,16 +243,17 @@ double SkewAdjustedDegree(const core::ExtentCounters& counters,
   return std::max(uniform_degree, std::min(inflated, max_upper));
 }
 
-/// Tie-break rank at equal cost: equality, then range, then intersection,
-/// then the scan.
+/// Tie-break rank at equal cost: name equality, index equality, range,
+/// intersection, then the scan.
 int KindRank(Planner::Plan::Kind kind) {
   switch (kind) {
-    case Planner::Plan::Kind::kIndexEquals: return 0;
-    case Planner::Plan::Kind::kIndexRange: return 1;
-    case Planner::Plan::Kind::kIndexIntersect: return 2;
-    case Planner::Plan::Kind::kFullScan: return 3;
+    case Planner::Plan::Kind::kNameEquals: return 0;
+    case Planner::Plan::Kind::kIndexEquals: return 1;
+    case Planner::Plan::Kind::kIndexRange: return 2;
+    case Planner::Plan::Kind::kIndexIntersect: return 3;
+    case Planner::Plan::Kind::kFullScan: return 4;
   }
-  return 4;
+  return 5;
 }
 
 bool Cheaper(double cost_a, Planner::Plan::Kind kind_a, double cost_b,
@@ -245,8 +268,17 @@ std::string Rounded(double rows) {
 
 /// Sorted ascending raw candidate ids of one leg.
 template <typename Id>
-std::vector<Id> FetchLeg(const Planner::Plan::Leg& leg) {
+std::vector<Id> FetchLeg(const core::Database& db,
+                         const Planner::Plan::Leg& leg) {
   std::vector<Id> out;
+  if (leg.index == nullptr) {  // name-equals: at most one object
+    if constexpr (std::is_same_v<Id, ObjectId>) {
+      if (ObjectId id = db.ObjectNamed(leg.keys[0].as_string()); id.valid()) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  }
   if (leg.is_range) {
     if constexpr (std::is_same_v<Id, ObjectId>) {
       out = leg.index->Range(leg.lo, leg.lo_inclusive, leg.hi,
@@ -274,10 +306,11 @@ std::vector<Id> FetchLeg(const Planner::Plan::Leg& leg) {
 /// Candidate ids of the whole plan (sorted): the single leg's postings, or
 /// the intersection of every leg's.
 template <typename Id>
-std::vector<Id> FetchCandidates(const Planner::Plan& plan) {
-  std::vector<Id> candidates = FetchLeg<Id>(plan.legs[0]);
+std::vector<Id> FetchCandidates(const core::Database& db,
+                                const Planner::Plan& plan) {
+  std::vector<Id> candidates = FetchLeg<Id>(db, plan.legs[0]);
   for (size_t i = 1; i < plan.legs.size() && !candidates.empty(); ++i) {
-    std::vector<Id> next = FetchLeg<Id>(plan.legs[i]);
+    std::vector<Id> next = FetchLeg<Id>(db, plan.legs[i]);
     std::vector<Id> merged;
     merged.reserve(std::min(candidates.size(), next.size()));
     std::set_intersection(candidates.begin(), candidates.end(), next.begin(),
@@ -300,6 +333,11 @@ struct Planner::Candidate {
   /// one place leg construction and cardinality estimation live, shared
   /// by object-extent and relationship-extent planning.
   static Candidate FromSarg(const index::AttributeIndex* idx, Sarg sarg);
+
+  /// Binds a name sarg to the name index of `db`: exactly 1 row when the
+  /// named object lies in the extent of `cls`, else 0.
+  static Candidate FromName(const core::Database& db, ClassId cls,
+                            bool include_specializations, Sarg sarg);
 };
 
 Planner::Candidate Planner::Candidate::FromSarg(
@@ -325,8 +363,24 @@ Planner::Candidate Planner::Candidate::FromSarg(
   return c;
 }
 
+Planner::Candidate Planner::Candidate::FromName(const core::Database& db,
+                                                ClassId cls,
+                                                bool include_specializations,
+                                                Sarg sarg) {
+  Candidate c;
+  c.kind = Plan::Kind::kNameEquals;
+  c.leg.keys = std::move(sarg.keys);
+  c.leg.est_rows =
+      InClassExtent(db, db.ObjectNamed(c.leg.keys[0].as_string()), cls,
+                    include_specializations)
+          ? 1.0
+          : 0.0;
+  return c;
+}
+
 std::string Planner::Plan::ToString() const {
-  auto leg_str = [](const Leg& leg) {
+  auto leg_str = [](const Leg& leg) -> std::string {
+    if (leg.index == nullptr) return "name-equals";
     if (leg.is_range) {
       return "index-range(" + leg.index->spec().ToString() + "), " +
              (leg.lo_inclusive ? "[" : "(") + leg.lo.ToString() + ", " +
@@ -341,6 +395,7 @@ std::string Planner::Plan::ToString() const {
   switch (kind) {
     case Kind::kFullScan:
       return "scan, est ~" + Rounded(extent_rows) + " rows";
+    case Kind::kNameEquals:
     case Kind::kIndexEquals:
     case Kind::kIndexRange:
       return leg_str(legs[0]) + tail;
@@ -433,31 +488,24 @@ Planner::Plan Planner::PlanSelect(ClassId cls, const Predicate& p,
   double extent_rows =
       static_cast<double>(db_->extent_counters().CountClassExtent(
           *db_->schema(), cls, include_specializations));
-  if (manager.empty() || p.shape() == nullptr) {
-    Plan plan;
-    plan.est_rows = extent_rows;
-    plan.extent_rows = extent_rows;
-    plan.est_cost = CostModel::ScanCost(extent_rows);
-    return plan;
-  }
-
-  std::vector<const PredicateShape*> conjuncts;
-  CollectConjuncts(p.shape(), &conjuncts);
-
-  std::vector<Candidate> candidates;
   // The ordinal counts *every* extracted sarg, indexed or not, so a
   // cached leg's ordinal re-derives from the predicate alone even if
   // the index set changed in between (the re-bind then re-resolves or
-  // invalidates).
-  size_t sarg_ordinal = 0;
-  for (const PredicateShape* conjunct : conjuncts) {
-    Sarg sarg;
-    if (!ExtractSarg(conjunct, "", &sarg)) continue;
-    const size_t ordinal = sarg_ordinal++;
-    const index::AttributeIndex* idx = manager.BestFor(
-        *db_->schema(), cls, include_specializations, sarg.role);
-    if (idx == nullptr) continue;
-    Candidate c = Candidate::FromSarg(idx, std::move(sarg));
+  // invalidates). Name sargs need no attribute index.
+  std::vector<Sarg> sargs = CollectObjectSargs(p);
+  std::vector<Candidate> candidates;
+  for (size_t ordinal = 0; ordinal < sargs.size(); ++ordinal) {
+    Sarg& sarg = sargs[ordinal];
+    Candidate c;
+    if (sarg.by_name) {
+      c = Candidate::FromName(*db_, cls, include_specializations,
+                              std::move(sarg));
+    } else {
+      const index::AttributeIndex* idx = manager.BestFor(
+          *db_->schema(), cls, include_specializations, sarg.role);
+      if (idx == nullptr) continue;
+      c = Candidate::FromSarg(idx, std::move(sarg));
+    }
     c.leg.sarg_ordinal = ordinal;
     candidates.push_back(std::move(c));
   }
@@ -506,21 +554,17 @@ std::vector<Id> FilterIdsPartitioned(const exec::ExecPolicy& policy,
 std::vector<ObjectId> Planner::ExecuteIndexPlan(
     const Plan& plan, ClassId cls, const Predicate& p,
     bool include_specializations) const {
-  std::vector<ObjectId> candidates = FetchCandidates<ObjectId>(plan);
+  std::vector<ObjectId> candidates = FetchCandidates<ObjectId>(*db_, plan);
 
   // Residual: extent membership (the chosen index may cover a broader
-  // family than the query) and the full original predicate. Index
-  // candidates are few; re-evaluating keeps both paths semantically
-  // identical by construction. Candidate lists big enough to partition
-  // run as morsels (predicate evaluation only reads the database).
-  const schema::Schema& schema = *db_->schema();
+  // family than the query, the name index every class) and the full
+  // original predicate. Index candidates are few; re-evaluating keeps
+  // both paths semantically identical by construction. Candidate lists
+  // big enough to partition run as morsels (predicate evaluation only
+  // reads the database).
   return FilterIdsPartitioned(policy_, candidates, [&](ObjectId id) {
-    auto obj = db_->GetObject(id);
-    if (!obj.ok()) return false;
-    bool in_extent = include_specializations
-                         ? schema.IsSameOrSpecializationOf((*obj)->cls, cls)
-                         : (*obj)->cls == cls;
-    return in_extent && p.Eval(*db_, id);
+    return InClassExtent(*db_, id, cls, include_specializations) &&
+           p.Eval(*db_, id);
   });
 }
 
@@ -1483,6 +1527,7 @@ std::optional<std::vector<std::uint64_t>> Planner::LiveFingerprints(
             : counters.CountClassExtent(schema, b.cls,
                                         b.include_specializations));
     for (const CachedPlan::Leg& leg : cached.selects[i].legs) {
+      if (leg.by_name) continue;
       const index::AttributeIndex* idx = manager.Find(leg.spec);
       if (idx == nullptr) return std::nullopt;
       fingerprints.push_back(idx->num_entries());
@@ -1516,10 +1561,21 @@ std::optional<Planner::Plan> Planner::RebindSelect(
                                       : CollectObjectSargs(binder.pred);
   std::vector<Candidate> legs;
   for (const CachedPlan::Leg& cleg : cached.legs) {
-    if (cleg.sarg_ordinal >= sargs.size()) return std::nullopt;
-    const index::AttributeIndex* idx = manager.Find(cleg.spec);
-    if (idx == nullptr) return std::nullopt;
-    Candidate c = Candidate::FromSarg(idx, sargs[cleg.sarg_ordinal]);
+    if (cleg.sarg_ordinal >= sargs.size() ||
+        sargs[cleg.sarg_ordinal].by_name != cleg.by_name) {
+      return std::nullopt;
+    }
+    Candidate c;
+    if (cleg.by_name) {
+      // The live literal is looked up again: a hit on another name
+      // returns that name's object.
+      c = Candidate::FromName(*db_, binder.cls, binder.include_specializations,
+                              sargs[cleg.sarg_ordinal]);
+    } else {
+      const index::AttributeIndex* idx = manager.Find(cleg.spec);
+      if (idx == nullptr) return std::nullopt;
+      c = Candidate::FromSarg(idx, sargs[cleg.sarg_ordinal]);
+    }
     c.leg.sarg_ordinal = cleg.sarg_ordinal;
     legs.push_back(std::move(c));
   }
@@ -1601,7 +1657,10 @@ void Planner::InsertInCache(const LogicalChain& chain, const std::string& key,
   for (const Plan& select : selects) {
     CachedPlan::Select s;
     for (const Plan::Leg& leg : select.legs) {
-      s.legs.push_back(CachedPlan::Leg{leg.index->spec(), leg.sarg_ordinal});
+      s.legs.push_back(leg.index == nullptr
+                           ? CachedPlan::Leg{{}, leg.sarg_ordinal, true}
+                           : CachedPlan::Leg{leg.index->spec(),
+                                             leg.sarg_ordinal, false});
     }
     cached.selects.push_back(std::move(s));
   }
@@ -1802,7 +1861,7 @@ std::vector<RelationshipId> Planner::ExecuteRelIndexPlan(
     const std::vector<RelCondition>& conditions,
     bool include_specializations) const {
   std::vector<RelationshipId> candidates =
-      FetchCandidates<RelationshipId>(plan);
+      FetchCandidates<RelationshipId>(*db_, plan);
   const schema::Schema& schema = *db_->schema();
   return FilterIdsPartitioned(policy_, candidates, [&](RelationshipId id) {
     auto rel = db_->GetRelationship(id);

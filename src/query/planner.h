@@ -9,9 +9,13 @@
 // and costs every candidate access path with the statistics of
 // query/stats.h: the full extent scan, a single index probe per sargable
 // conjunct, and the multi-index intersection of two or more posting lists
-// for AND-of-sargables. The cheapest plan wins (deterministic tie-breaks:
-// equality, then range, then intersection, then scan). Estimated rows and
-// the extent size travel in the Plan for EXPLAIN-style output.
+// for AND-of-sargables. A top-level `name is X` conjunct is sargable
+// without any attribute index: it probes the database's name index
+// (Database::ObjectNamed), and its estimate is exact — 1 when the named
+// object lies in the queried extent, else 0. The cheapest plan wins
+// (deterministic tie-breaks: name equality, then index equality, range,
+// intersection, scan). Estimated rows and the extent size travel in the
+// Plan for EXPLAIN-style output.
 //
 // Relationship extents plan the same way: SelectRelationships filters the
 // relationships of an association family by conjuncts over their attribute
@@ -75,11 +79,19 @@ class Planner {
  public:
   /// The access path chosen for a selection over one extent.
   struct Plan {
-    enum class Kind { kFullScan, kIndexEquals, kIndexRange, kIndexIntersect };
+    enum class Kind {
+      kFullScan,
+      kNameEquals,
+      kIndexEquals,
+      kIndexRange,
+      kIndexIntersect,
+    };
 
     /// One index access. Single-index plans have exactly one leg;
     /// intersection plans have two or more, cheapest first.
     struct Leg {
+      /// Null for a name-equals leg, which looks keys[0] (a string) up in
+      /// the database's name index.
       const index::AttributeIndex* index = nullptr;
       bool is_range = false;
       /// Probe keys when !is_range (one per OR-of-equalities branch).
@@ -115,8 +127,8 @@ class Planner {
     long long elapsed_ns = -1;
 
     bool uses_index() const { return kind != Kind::kFullScan; }
-    /// "scan" / "index-equals(...), 2 keys, est ~3 of 100 rows" — for
-    /// tests, EXPLAIN output and logs.
+    /// "scan" / "name-equals, est ~1 of 100 rows" / "index-equals(...),
+    /// 2 keys, est ~3 of 100 rows" — for tests, EXPLAIN output and logs.
     std::string ToString() const;
     /// ToString() plus actual rows and wall-clock — the EXPLAIN ANALYZE
     /// form. `mask_times` prints "<t>" instead of the duration so golden
@@ -494,7 +506,7 @@ class Planner {
 
   /// The live statistics fingerprint sequence for `cached` against this
   /// database, in the canonical capture order (per binder: extent
-  /// count, then each leg's index entry count; per hop: association
+  /// count, then each index leg's entry count; per hop: association
   /// extent count). Nullopt when a cached index spec no longer
   /// resolves.
   std::optional<std::vector<std::uint64_t>> LiveFingerprints(

@@ -172,8 +172,11 @@ TEST_F(AttrIndexTest, PlannerUsesEqualityIndexWithIdenticalResults) {
             Planner::Plan::Kind::kIndexEquals);
   EXPECT_EQ(planner.SelectIds(plant_.sensor, half_opaque),
             ScanIds(plant_.sensor, half_opaque));
+  // A name equality needs no attribute index: it probes the name index.
   EXPECT_EQ(planner.PlanSelect(plant_.sensor, Predicate::NameIs("S1")).kind,
-            Planner::Plan::Kind::kFullScan);
+            Planner::Plan::Kind::kNameEquals);
+  EXPECT_EQ(planner.SelectIds(plant_.sensor, Predicate::NameIs("S1")),
+            ScanIds(plant_.sensor, Predicate::NameIs("S1")));
 
   // A disjunction with a non-equality branch cannot use the index.
   Predicate mixed = Predicate::ValueEquals(Value::Int(3))

@@ -73,6 +73,32 @@ TEST_F(ExplainAnalyzeTest, JoinChainGolden) {
       "phases: parse <t>, lower <t>, optimize <t>, execute <t>");
 }
 
+TEST_F(ExplainAnalyzeTest, NameAnchoredChainGolden) {
+  // `name is` resolves through the name index with an exact estimate,
+  // and the hop is driven from its one-row side. On the fixture's two
+  // actions a scan is cheaper than the probe, so add a few.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        db_->CreateObject(ids_.action, "Spare" + std::to_string(i)).ok());
+  }
+  std::string plan;
+  ASSERT_TRUE(RunQuery(*db_, "find Action where name is Sensor", &plan).ok());
+  EXPECT_EQ(plan, "name-equals, est ~1 of 6 rows; actual 1");
+  QueryTrace trace;
+  auto r = RunJoinChainQuery(*db_,
+                             "find Action c join via Contained to Action p "
+                             "where c name is Sensor",
+                             nullptr, &trace);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->tuples.size(), 1u);  // Sensor -- Logger
+  EXPECT_EQ(trace.Render(/*mask_times=*/true),
+            "c: name-equals, est ~1 of 6 rows, actual 1, t=<t>; "
+            "p: scan, est ~6 rows, actual 6, t=<t>; "
+            "(hop1: c[1] * p[6] | join-hash(build=left), forward, 1 x 6 "
+            "inputs, est ~0 rows (assoc ~1), actual 1, in 1+6, t=<t>); "
+            "phases: parse <t>, lower <t>, optimize <t>, execute <t>");
+}
+
 TEST_F(ExplainAnalyzeTest, UnmaskedRenderCarriesRealTimings) {
   QueryTrace trace;
   auto r = RunQuery(*db_, "find Action", nullptr, &trace);

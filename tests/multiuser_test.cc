@@ -14,6 +14,13 @@ namespace {
 using core::Value;
 using spades::BuildFig3Schema;
 
+/// Samples a histogram holds so far (0 before its first record).
+std::uint64_t HistogramCount(const char* name) {
+  const obs::Histogram* hist =
+      obs::MetricsRegistry::Global().FindHistogram(name);
+  return hist == nullptr ? 0 : hist->count();
+}
+
 class MultiuserTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -199,14 +206,9 @@ TEST_F(MultiuserTest, InconsistentCheckinRolledBack) {
 }
 
 TEST_F(MultiuserTest, CheckinPhasesAreTimed) {
-  auto count = [](const char* name) -> std::uint64_t {
-    const obs::Histogram* hist =
-        obs::MetricsRegistry::Global().FindHistogram(name);
-    return hist == nullptr ? 0 : hist->count();
-  };
-  const std::uint64_t apply0 = count("server.checkin.apply.ns");
-  const std::uint64_t audit0 = count("server.checkin.audit.ns");
-  const std::uint64_t publish0 = count("server.checkin.publish.ns");
+  const std::uint64_t apply0 = HistogramCount("server.checkin.apply.ns");
+  const std::uint64_t audit0 = HistogramCount("server.checkin.audit.ns");
+  const std::uint64_t publish0 = HistogramCount("server.checkin.publish.ns");
 
   auto session = ClientSession::Open(server_.get(), "alice");
   ClientSession& alice = **session;
@@ -231,9 +233,49 @@ TEST_F(MultiuserTest, CheckinPhasesAreTimed) {
   unlocked.objects.push_back(server_->master()->objects_raw().at(sensor_));
   EXPECT_TRUE(server_->Checkin(alice.id(), unlocked).IsLockConflict());
 
-  EXPECT_EQ(count("server.checkin.apply.ns") - apply0, kCommits + 1u);
-  EXPECT_EQ(count("server.checkin.audit.ns") - audit0, kCommits + 1u);
-  EXPECT_EQ(count("server.checkin.publish.ns") - publish0, kCommits + 0u);
+  EXPECT_EQ(HistogramCount("server.checkin.apply.ns") - apply0,
+            kCommits + 1u);
+  EXPECT_EQ(HistogramCount("server.checkin.audit.ns") - audit0,
+            kCommits + 1u);
+  EXPECT_EQ(HistogramCount("server.checkin.publish.ns") - publish0,
+            kCommits + 0u);
+}
+
+TEST_F(MultiuserTest, LockWaitAndLastSnapshotReleaseAreTimed) {
+  const char* kWait = "server.checkin.lock_wait.ns";
+  const char* kRelease = "server.snapshot.release.ns";
+  const std::uint64_t wait0 = HistogramCount(kWait);
+  const std::uint64_t release0 = HistogramCount(kRelease);
+
+  // A publish displaces nothing the first time, then an unpinned epoch
+  // (its free is timed), then a pinned one (its pin's drop frees it, and
+  // that is not a server release).
+  server_->PublishSnapshot();
+  EXPECT_EQ(HistogramCount(kRelease) - release0, 0u);
+  server_->PublishSnapshot();
+  EXPECT_EQ(HistogramCount(kRelease) - release0, 1u);
+  version::SnapshotPtr pinned = server_->PinSnapshot();
+  server_->PublishSnapshot();
+  pinned.reset();
+  EXPECT_EQ(HistogramCount(kRelease) - release0, 1u);
+
+  // Each commit frees the epoch it displaces. Every check-in that gets
+  // to the master mutex waits for it once, a lock rejection included.
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  constexpr int kCommits = 3;
+  for (int i = 0; i < kCommits; ++i) {
+    ASSERT_TRUE(alice.CheckoutByName({"Alarms"}).ok());
+    ASSERT_TRUE(alice.local()
+                    ->CreateObject(ids_.action, "Step" + std::to_string(i))
+                    .ok());
+    ASSERT_TRUE(alice.Checkin().ok());
+  }
+  CheckinBundle unlocked;
+  unlocked.objects.push_back(server_->master()->objects_raw().at(sensor_));
+  EXPECT_TRUE(server_->Checkin(alice.id(), unlocked).IsLockConflict());
+  EXPECT_EQ(HistogramCount(kWait) - wait0, kCommits + 1u);
+  EXPECT_EQ(HistogramCount(kRelease) - release0, kCommits + 1u);
 }
 
 TEST_F(MultiuserTest, LiveSnapshotGaugeFollowsPins) {

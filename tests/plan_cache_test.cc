@@ -211,6 +211,40 @@ TEST_F(PlanCacheTest, ChainQueryRunsOneJoinDpColdOrWarm) {
   }
 }
 
+TEST_F(PlanCacheTest, NameAnchoredChainHitLooksTheNewNameUp) {
+  // The skeleton holds the name leg by its conjunct, never the literal:
+  // a warm hit on another name looks that name up and returns its tuples.
+  const std::string q =
+      "find Item x join via Link to Target y join reverse via Link to Item "
+      "z where x name is ";
+  std::string cold_plan;
+  auto cold = RunJoinChainQuery(*db_, q + "I3", &cold_plan);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold_plan.rfind("x: name-equals, est ~1 of 120 rows; ", 0), 0u)
+      << cold_plan;
+  ASSERT_FALSE(cold->tuples.empty());
+  EXPECT_EQ(cold->tuples[0][0], items_[3]);
+
+  std::uint64_t hits = CounterValue("planner.cache.hits.total");
+  QueryTrace trace;
+  auto warm = RunJoinChainQuery(*db_, q + "I6", nullptr, &trace);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(CounterValue("planner.cache.hits.total"), hits + 1);
+  EXPECT_TRUE(trace.plan.from_cache);
+  // I6 links to one target; z is every item linking to that target.
+  std::vector<std::vector<ObjectId>> expected;
+  for (RelationshipId x_link : db_->RelationshipsOf(items_[6], link_, 0)) {
+    ObjectId y = (*db_->GetRelationship(x_link))->ends[1];
+    for (RelationshipId z_link : db_->RelationshipsOf(y, link_, 1)) {
+      expected.push_back(
+          {items_[6], y, (*db_->GetRelationship(z_link))->ends[0]});
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(expected.size(), 5u);
+  EXPECT_EQ(warm->tuples, expected);
+}
+
 /// A world built to mis-estimate: one hub Item holds every Link edge,
 /// so a selection down to the hub estimates ~assoc/extent joined rows
 /// while actually producing the association's whole population.

@@ -13,6 +13,14 @@
 // residuals, negations, sub-object predicates, exact and family extents)
 // and relationship-attribute queries.
 //
+// Name equalities (`name is X`, served by the name index) draw their
+// literals from every name the run has used: live names, names of
+// deleted, renamed and reclassified objects, names only a pattern holds,
+// and names a pattern shares with a normal object. Besides the selects
+// feeding joins and chains, name-anchored logical chains run through
+// Planner::Run, plan cache included, against the naive fold of
+// brute-force binder scans.
+//
 // Relationship joins are differentialed the same way: the planner-chosen
 // strategy AND all four explicit physical variants (hash with either
 // build side, index-nested-loop from either side) must equal a naive
@@ -45,6 +53,7 @@
 #include "common/random.h"
 #include "core/database.h"
 #include "index/index_manager.h"
+#include "query/logical.h"
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "schema/schema_builder.h"
@@ -71,6 +80,9 @@ struct RandomWorld {
   ClassId label, zone, target;
   AssociationId link, fast_link;
   ClassId weight;
+  /// Every independent name the run has used, patterns' included; names
+  /// stay after their object is deleted or renamed.
+  std::vector<std::string> names;
 
   /// All classes an object of the family may have.
   std::vector<ClassId> family() const {
@@ -142,8 +154,8 @@ void CreateRandomIndexes(Database* db, const RandomWorld& w, Random& rng) {
   }
 }
 
-Predicate RandomAtom(const RandomWorld& /*w*/, Random& rng) {
-  switch (rng.Uniform(8)) {
+Predicate RandomAtom(const RandomWorld& w, Random& rng) {
+  switch (rng.Uniform(9)) {
     case 0:
       return Predicate::ValueEquals(Value::Int(rng.UniformRange(0, 9)));
     case 1:
@@ -165,6 +177,8 @@ Predicate RandomAtom(const RandomWorld& /*w*/, Random& rng) {
                             Value::Int(rng.UniformRange(0, 9))));
     case 6:
       return Predicate::HasValue();
+    case 7:
+      return Predicate::NameIs(rng.Pick(w.names));
     default:
       return Predicate::NameContains(std::to_string(rng.Uniform(10)));
   }
@@ -296,6 +310,9 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
   size_t queries_run = 0;
   size_t index_plans = 0;
   size_t intersect_plans = 0;
+  size_t name_plans = 0;
+  size_t named_chains = 0;            // name-anchored chains through Run
+  size_t named_chain_name_plans = 0;  // ... whose anchor used the name leg
   size_t rel_index_plans = 0;
   size_t join_queries = 0;
   size_t join_hash_chosen = 0;
@@ -330,7 +347,8 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
     // (hash-join territory).
     std::vector<ObjectId> targets;
     for (int i = 0; i < 24; ++i) {
-      targets.push_back(*db->CreateObject(w.target, "T" + std::to_string(i)));
+      w.names.push_back("T" + std::to_string(i));
+      targets.push_back(*db->CreateObject(w.target, w.names.back()));
     }
 
     // Pre-populate so extents are large enough that index plans (and
@@ -338,8 +356,8 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
     // query would trivially plan as a scan and the differential would
     // only exercise one path.
     for (int i = 0; i < 120; ++i) {
-      auto id = db->CreateObject(rng.Pick(family),
-                                 "Seed" + std::to_string(created++));
+      w.names.push_back("Seed" + std::to_string(created++));
+      auto id = db->CreateObject(rng.Pick(family), w.names.back());
       ASSERT_TRUE(id.ok());
       objects.push_back(*id);
       if (rng.Bernoulli(0.85)) {
@@ -373,6 +391,17 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
       }
     }
 
+    // Patterns live in a name space of their own and in no extent: some
+    // hold names no normal object has, others share a normal object's.
+    core::CreateOptions pattern;
+    pattern.pattern = true;
+    for (int i = 0; i < 6; ++i) {
+      std::string name = i % 2 == 0 ? "Pat" + std::to_string(i)
+                                    : "Seed" + std::to_string(i);
+      ASSERT_TRUE(db->CreateObject(rng.Pick(family), name, pattern).ok());
+      if (i % 2 == 0) w.names.push_back(name);
+    }
+
     auto run_object_query = [&] {
       ClassId cls = rng.Bernoulli(0.7) ? w.base : rng.Pick(family);
       bool include_spec = rng.Bernoulli(0.8);
@@ -383,6 +412,7 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
       if (plan.kind == Planner::Plan::Kind::kIndexIntersect) {
         ++intersect_plans;
       }
+      if (plan.kind == Planner::Plan::Kind::kNameEquals) ++name_plans;
       std::vector<ObjectId> scanned;
       for (ObjectId id : db->ObjectsOfClass(cls, include_spec)) {
         if (p.Eval(*db, id)) scanned.push_back(id);
@@ -676,11 +706,76 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
       ++queries_run;
     };
 
+    // Name-anchored logical chains of 0-3 hops through Planner::Run,
+    // plan cache included: binder 0 is `name is X` (sometimes with a
+    // second conjunct), later binders alternate Target and the Base
+    // family as in run_chain_query. The reference is the naive fold of
+    // brute-force binder scans.
+    auto run_named_chain_query = [&] {
+      size_t num_hops = rng.Uniform(4);
+      query::LogicalChain chain;
+      for (size_t i = 0; i <= num_hops; ++i) {
+        const bool base_side = i % 2 == 0;
+        ClassId cls = base_side ? (rng.Bernoulli(0.7) ? w.base
+                                                      : rng.Pick(family))
+                                : w.target;
+        Predicate p = Predicate::True();
+        if (i == 0) {
+          p = Predicate::NameIs(rng.Pick(w.names));
+          if (rng.Bernoulli(0.3)) p = p.And(RandomAtom(w, rng));
+        } else if (base_side && rng.Bernoulli(0.5)) {
+          p = RandomPredicate(w, rng);
+        } else if (!base_side && rng.Bernoulli(0.2)) {
+          p = Predicate::NameIs(rng.Pick(w.names));
+        }
+        chain.binders.push_back(query::LogicalSelect::Objects(
+            cls, "b" + std::to_string(i), p, rng.Bernoulli(0.85)));
+      }
+      std::vector<Planner::PipelineHop> hops;
+      for (size_t i = 0; i < num_hops; ++i) {
+        AssociationId assoc = rng.Bernoulli(0.7) ? w.link : w.fast_link;
+        const int left_role = i % 2 == 0 ? 0 : 1;
+        chain.hops.push_back({assoc, left_role});
+        hops.push_back({assoc, left_role, chain.binders[i].cls,
+                        chain.binders[i + 1].cls});
+      }
+      std::vector<query::QueryRelation> scanned;
+      for (const query::LogicalSelect& b : chain.binders) {
+        query::QueryRelation rel;
+        rel.attributes = {b.binder};
+        for (ObjectId id :
+             db->ObjectsOfClass(b.cls, b.include_specializations)) {
+          if (b.pred.Eval(*db, id)) rel.tuples.push_back({id});
+        }
+        scanned.push_back(std::move(rel));
+      }
+      Planner planner(db.get());
+      Planner::PhysicalPlan plan;
+      auto result = planner.Run(chain, &plan);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (plan.selects[0].kind == Planner::Plan::Kind::kNameEquals) {
+        ++named_chain_name_plans;
+      }
+      if (num_hops == 0) {
+        std::vector<ObjectId> expected;
+        for (const auto& t : scanned[0].tuples) expected.push_back(t[0]);
+        ASSERT_EQ(result->ids, expected)
+            << "named select diverged at seed " << seed
+            << " (plan: " << plan.ToString() << ")";
+      } else {
+        ASSERT_EQ(result->tuples.tuples, naive_chain(scanned, hops))
+            << "named chain diverged at seed " << seed
+            << " (plan: " << plan.ToString() << ")";
+      }
+      ++named_chains;
+      ++queries_run;
+    };
+
     for (int step = 0; step < 150; ++step) {
-      switch (rng.Uniform(10)) {
+      switch (rng.Uniform(11)) {
         case 0: {  // create an object somewhere in the family
-          auto id = db->CreateObject(rng.Pick(family),
-                                     "Obj" + std::to_string(created++));
+          w.names.push_back("Obj" + std::to_string(created++));
+          auto id = db->CreateObject(rng.Pick(family), w.names.back());
           ASSERT_TRUE(id.ok());
           if (rng.Bernoulli(0.8)) {  // some objects stay vague
             (void)db->SetValue(*id, Value::Int(rng.UniformRange(0, 9)));
@@ -804,6 +899,15 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
           run_rel_query();
           run_join_query();
           run_chain_query();
+          run_named_chain_query();
+          break;
+        }
+        case 10: {  // rename an object; its old name stays in the pool
+          if (objects.empty()) break;
+          std::string name = "Ren" + std::to_string(created++);
+          if (db->Rename(rng.Pick(objects), name).ok()) {
+            w.names.push_back(std::move(name));
+          }
           break;
         }
       }
@@ -812,6 +916,7 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
       if (rng.Bernoulli(0.5)) run_rel_query();
       if (rng.Bernoulli(0.4)) run_join_query();
       if (rng.Bernoulli(0.25)) run_chain_query();
+      if (rng.Bernoulli(0.3)) run_named_chain_query();
     }
   }
   // The acceptance bar: at least 500 random queries with planner/scan
@@ -823,6 +928,11 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
   EXPECT_GE(index_plans, 50u);
   EXPECT_GE(intersect_plans, 5u);
   EXPECT_GE(rel_index_plans, 20u);
+  // Name coverage floors: the name leg served plain selects and the
+  // anchors of chains run through Planner::Run.
+  EXPECT_GE(name_plans, 20u);
+  EXPECT_GE(named_chains, 150u);
+  EXPECT_GE(named_chain_name_plans, 100u);
   // Join coverage floors: every differential join also ran all four
   // explicit physical variants against the nested-loop reference, and
   // the planner's own choices must exercise both strategy kinds, the
