@@ -1,11 +1,14 @@
 // The tracked perf trajectory driver (no google-benchmark dependency —
 // built unconditionally, CI runs it on every push). Replays a fixed mix
 // of engine scenarios seeded from the spades workload and the skewed
-// 5-hop join chain, and emits one BENCH_*.json with per-scenario
-// latency, throughput, and rows visited. The rows-visited figures come
-// from the metrics registry ("query.rows.visited.total"), the same
-// source EXPLAIN ANALYZE and the shell report — so the committed
-// baseline gates the planner, not the harness.
+// 5-hop join chain, and emits one BENCH_*.json with per-scenario op
+// counts and rows visited. The rows-visited figures come from the
+// metrics registry ("query.rows.visited.total"), the same source
+// EXPLAIN ANALYZE and the shell report — so the committed baseline
+// gates the planner, not the harness. Wall-clock performance is
+// perfbench's job (BENCHMARK.json); this driver keeps only gates that
+// hold on any host: rows visited, the in-driver plan-cache and
+// parallel-identity checks, and the metrics overhead budget.
 //
 //   bench_trajectory [--scale=N] [--out=FILE] [--metrics-out=FILE]
 //                    [--check=BASELINE.json] [--overhead-check]
@@ -19,7 +22,6 @@
 //                     exit 1 when the enabled path is more than 5% slower
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cinttypes>
 #include <cstdint>
@@ -57,7 +59,7 @@ using seed::query::Planner;
 using seed::version::VersionId;
 using seed::version::VersionManager;
 
-constexpr int kSchemaVersion = 1;
+constexpr int kSchemaVersion = 2;
 constexpr int kPr = 10;
 
 [[noreturn]] void Die(const std::string& what, const seed::Status& s) {
@@ -80,95 +82,23 @@ std::uint64_t RowsVisitedCounter() {
 struct ScenarioResult {
   std::string name;
   std::uint64_t ops = 0;
-  std::uint64_t elapsed_ns = 0;
   std::uint64_t rows_visited = 0;
   /// Extra `"key": value` pairs appended to the scenario's JSON object
   /// (informational only — the rows-visited gate never reads them).
   std::string extra_json;
 };
 
-// --- Per-scenario query-phase quantiles ------------------------------------
-//
-// Every textual query records its phase durations into the global
-// query.phase.<phase>.ns histograms (obs/trace.h), whether or not it
-// asked for a trace. Diffing the bucket counts around a scenario yields
-// that scenario's own latency distribution, from which p50/p99 come out
-// as bucket lower bounds (log2 buckets: exact to within 2x, stable
-// across machines in shape if not in absolute value).
-
-using PhaseBuckets =
-    std::array<std::uint64_t, seed::obs::Histogram::kNumBuckets>;
-
-const char* const kPhaseHistograms[seed::obs::kNumQueryPhases] = {
-    "query.phase.parse.ns", "query.phase.lower.ns",
-    "query.phase.optimize.ns", "query.phase.execute.ns"};
-
-PhaseBuckets SnapshotPhaseBuckets(int phase) {
-  const seed::obs::Histogram* h =
-      seed::obs::MetricsRegistry::Global().GetHistogram(
-          kPhaseHistograms[phase]);
-  PhaseBuckets out{};
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = h->bucket(i);
-  return out;
-}
-
-std::uint64_t DeltaQuantile(const PhaseBuckets& before,
-                            const PhaseBuckets& after, double q) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < before.size(); ++i) total += after[i] - before[i];
-  if (total == 0) return 0;
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(total));
-  if (rank == 0) rank = 1;
-  if (rank > total) rank = total;
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    cumulative += after[i] - before[i];
-    if (cumulative >= rank) {
-      return seed::obs::Histogram::BucketLowerBound(i);
-    }
-  }
-  return seed::obs::Histogram::BucketLowerBound(before.size() - 1);
-}
-
-/// Times `fn` (which returns its op count), attributes the registry's
-/// rows-visited delta to the scenario, and records the scenario's own
-/// query-phase p50/p99 (phases that saw no queries are omitted).
+/// Runs `fn` (which returns its op count) and attributes the registry's
+/// rows-visited delta to the scenario.
 template <typename Fn>
 ScenarioResult RunScenario(const std::string& name, Fn&& fn) {
   ScenarioResult result;
   result.name = name;
-  PhaseBuckets phases_before[seed::obs::kNumQueryPhases];
-  for (int p = 0; p < seed::obs::kNumQueryPhases; ++p) {
-    phases_before[p] = SnapshotPhaseBuckets(p);
-  }
   std::uint64_t rows_before = RowsVisitedCounter();
-  std::uint64_t start = seed::obs::NowNanos();
   result.ops = fn();
-  result.elapsed_ns = seed::obs::NowNanos() - start;
   result.rows_visited = RowsVisitedCounter() - rows_before;
-  for (int p = 0; p < seed::obs::kNumQueryPhases; ++p) {
-    PhaseBuckets after = SnapshotPhaseBuckets(p);
-    std::uint64_t p50 = DeltaQuantile(phases_before[p], after, 0.5);
-    std::uint64_t p99 = DeltaQuantile(phases_before[p], after, 0.99);
-    if (p50 == 0 && p99 == 0) continue;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s_p50_ns\": %" PRIu64 ", \"%s_p99_ns\": %" PRIu64,
-                  result.extra_json.empty() ? "" : ", ",
-                  seed::obs::QueryPhaseName(
-                      static_cast<seed::obs::QueryPhase>(p)),
-                  p50,
-                  seed::obs::QueryPhaseName(
-                      static_cast<seed::obs::QueryPhase>(p)),
-                  p99);
-    result.extra_json += buf;
-  }
-  std::fprintf(stderr, "  %-28s %8" PRIu64 " ops  %10.3f ms  %12" PRIu64
-                       " rows visited\n",
-               result.name.c_str(), result.ops,
-               static_cast<double>(result.elapsed_ns) / 1e6,
-               result.rows_visited);
+  std::fprintf(stderr, "  %-28s %8" PRIu64 " ops %12" PRIu64 " rows visited\n",
+               result.name.c_str(), result.ops, result.rows_visited);
   return result;
 }
 
@@ -311,18 +241,14 @@ std::uint64_t MultiuserCheckoutCheckin(int scale) {
   return static_cast<std::uint64_t>(rounds);
 }
 
-/// Snapshot-read throughput under write contention: N reader sessions
-/// each run a fixed count of textual queries against their pinned
-/// snapshot while W writer threads push checkout/edit/check-in cycles
-/// over disjoint root slices. The population and per-reader read count
-/// are fixed, so rows visited are deterministic regardless of thread
-/// interleaving (reads scan the Action extent; writers only change
-/// attribute values, never the extent). Per-configuration reader
-/// throughput and the 16-reader 0->4-writer degradation land in the
-/// JSON as informational fields; the acceptance bar is degradation
-/// < 20%, recorded here and checked by eye / by the PR, not gated in
-/// CI (machines differ in core count).
-std::uint64_t MultiuserConcurrent(std::string* extra_json) {
+/// Snapshot reads under write contention: N reader sessions each run a
+/// fixed count of textual queries against their pinned snapshot while W
+/// writer threads push checkout/edit/check-in cycles over disjoint root
+/// slices. The population and per-reader read count are fixed, so rows
+/// visited are deterministic regardless of thread interleaving (reads
+/// scan the Action extent; writers only change attribute values, never
+/// the extent).
+std::uint64_t MultiuserConcurrent() {
   static constexpr int kRoots = 64;
   static constexpr int kReadsPerReader = 400;
   static constexpr int kCommitsPerWriter = 2;
@@ -333,24 +259,17 @@ std::uint64_t MultiuserConcurrent(std::string* extra_json) {
   constexpr Config kConfigs[] = {{1, 0},  {1, 1},  {1, 4},
                                  {4, 0},  {4, 1},  {4, 4},
                                  {16, 0}, {16, 1}, {16, 4}};
+  // Three runs per configuration, the work the BENCH_10.json baseline's
+  // rows visited count.
+  constexpr int kRepsPerConfig = 3;
 
   auto fig3 = seed::spades::BuildFig3Schema();
   if (!fig3.ok()) Die("BuildFig3Schema", fig3.status());
 
   std::uint64_t total_reads = 0;
-  std::string extra;
-  double qps_16r_0w = 0.0, qps_16r_4w = 0.0;
-  // Best-of-N per configuration: on a loaded or single-core machine an
-  // unlucky scheduling burst can halve one run's throughput; the max
-  // filters that noise the same way OverheadCheck's min-of-N filters
-  // timing outliers (both sides of the 0w-vs-4w comparison get the same
-  // treatment, so the degradation estimate stays fair).
-  constexpr int kRepsPerConfig = 3;
-
-  /// One measured run: fresh server, cfg.writers commit threads over
-  /// disjoint root slices, cfg.readers query threads; returns reader
-  /// throughput (reads/s over the reader wall-clock window).
-  auto run_once = [&](const Config& cfg) -> double {
+  /// One run: fresh server, cfg.writers commit threads over disjoint
+  /// root slices, cfg.readers query threads.
+  auto run_once = [&](const Config& cfg) {
     seed::multiuser::Server server(fig3->schema);
     for (int i = 0; i < kRoots; ++i) {
       auto a = server.master()->CreateObject(fig3->ids.action,
@@ -396,7 +315,6 @@ std::uint64_t MultiuserConcurrent(std::string* extra_json) {
     std::vector<std::thread> readers;
     readers.reserve(static_cast<std::size_t>(cfg.readers));
     std::atomic<std::uint64_t> reads_done{0};
-    std::uint64_t t0 = seed::obs::NowNanos();
     go.store(true, std::memory_order_release);
     for (int r = 0; r < cfg.readers; ++r) {
       readers.emplace_back([&server, &reads_done, r] {
@@ -416,41 +334,13 @@ std::uint64_t MultiuserConcurrent(std::string* extra_json) {
       });
     }
     for (std::thread& t : readers) t.join();
-    std::uint64_t reader_ns = seed::obs::NowNanos() - t0;
     for (std::thread& t : writers) t.join();
-
-    std::uint64_t reads = reads_done.load(std::memory_order_relaxed);
-    total_reads += reads;
-    return reader_ns == 0 ? 0.0
-                          : static_cast<double>(reads) /
-                                (static_cast<double>(reader_ns) / 1e9);
+    total_reads += reads_done.load(std::memory_order_relaxed);
   };
 
   for (const Config& cfg : kConfigs) {
-    double best_qps = 0.0;
-    for (int rep = 0; rep < kRepsPerConfig; ++rep) {
-      best_qps = std::max(best_qps, run_once(cfg));
-    }
-    if (cfg.readers == 16 && cfg.writers == 0) qps_16r_0w = best_qps;
-    if (cfg.readers == 16 && cfg.writers == 4) qps_16r_4w = best_qps;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"reads_per_s_r%d_w%d\": %.0f",
-                  extra.empty() ? "" : ", ", cfg.readers, cfg.writers,
-                  best_qps);
-    extra += buf;
+    for (int rep = 0; rep < kRepsPerConfig; ++rep) run_once(cfg);
   }
-  double degradation =
-      qps_16r_0w == 0.0 ? 0.0 : 1.0 - qps_16r_4w / qps_16r_0w;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ", \"reader_degradation_16r\": %.3f",
-                degradation);
-  extra += buf;
-  *extra_json = extra;
-  std::fprintf(stderr,
-               "  %-28s 16-reader throughput %.0f/s at 0 writers, %.0f/s "
-               "at 4 (degradation %.1f%%)\n",
-               "multiuser_concurrent", qps_16r_0w, qps_16r_4w,
-               degradation * 100.0);
   return total_reads;
 }
 
@@ -462,8 +352,8 @@ std::uint64_t MultiuserConcurrent(std::string* extra_json) {
 /// per query (the cache holds access paths; the join tree is always
 /// planned from the actual binder sizes), and both loops must visit
 /// identical rows (a cached plan never changes the work). Counters, not
-/// the clock, so the gates hold at any scale and on any host. Hit rate
-/// and per-query plan times land in the JSON.
+/// the clock, so the gates hold at any scale and on any host. The hit
+/// rate lands in the JSON.
 std::uint64_t PlanCacheHotLoop(int scale, std::string* extra_json) {
   constexpr int kChainHops = 6;
   seed::schema::SchemaBuilder builder("PlanCacheWorld");
@@ -517,36 +407,29 @@ std::uint64_t PlanCacheHotLoop(int scale, std::string* extra_json) {
   constexpr int kQueries = 200;
   seed::obs::Counter* dp_runs =
       seed::obs::MetricsRegistry::Global().GetCounter("planner.dp.runs.total");
-  auto run_loop = [&](bool cold, std::uint64_t* optimize_ns,
-                      std::uint64_t* rows, std::uint64_t* dps) {
+  auto run_loop = [&](bool cold, std::uint64_t* rows, std::uint64_t* dps) {
     std::uint64_t rows_before = RowsVisitedCounter();
     std::uint64_t dps_before = dp_runs->value();
-    *optimize_ns = 0;
     for (int q = 0; q < kQueries; ++q) {
       if (cold) seed::query::PlanCache::Global().Clear();
-      seed::query::QueryTrace trace;
       auto r = seed::query::RunJoinChainQuery(
-          db, query_prefix + " where b0 value is " + std::to_string(q % 10),
-          nullptr, &trace);
+          db, query_prefix + " where b0 value is " + std::to_string(q % 10));
       if (!r.ok()) Die("RunJoinChainQuery", r.status());
-      *optimize_ns += trace.ctx.phase_ns[static_cast<int>(
-                                             seed::obs::QueryPhase::kOptimize)]
-                          .load(std::memory_order_relaxed);
     }
     *rows = RowsVisitedCounter() - rows_before;
     *dps = dp_runs->value() - dps_before;
   };
 
   seed::query::PlanCache::Global().Clear();
-  std::uint64_t cold_ns = 0, cold_rows = 0, cold_dps = 0;
-  run_loop(/*cold=*/true, &cold_ns, &cold_rows, &cold_dps);
+  std::uint64_t cold_rows = 0, cold_dps = 0;
+  run_loop(/*cold=*/true, &cold_rows, &cold_dps);
   // The cold loop's final query left its entry behind, so the warm loop
   // starts hot: every one of its lookups can hit.
   std::uint64_t hits_before = seed::obs::MetricsRegistry::Global()
                                   .GetCounter("planner.cache.hits.total")
                                   ->value();
-  std::uint64_t warm_ns = 0, warm_rows = 0, warm_dps = 0;
-  run_loop(/*cold=*/false, &warm_ns, &warm_rows, &warm_dps);
+  std::uint64_t warm_rows = 0, warm_dps = 0;
+  run_loop(/*cold=*/false, &warm_rows, &warm_dps);
   std::uint64_t hits = seed::obs::MetricsRegistry::Global()
                            .GetCounter("planner.cache.hits.total")
                            ->value() -
@@ -554,22 +437,11 @@ std::uint64_t PlanCacheHotLoop(int scale, std::string* extra_json) {
   seed::query::PlanCache::Global().Clear();
 
   double hit_rate = static_cast<double>(hits) / kQueries;
-  double speedup = warm_ns == 0 ? 0.0
-                                : static_cast<double>(cold_ns) /
-                                      static_cast<double>(warm_ns);
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "\"warm_hit_rate\": %.3f, \"cold_plan_us_per_query\": %.2f, "
-                "\"warm_plan_us_per_query\": %.2f, \"plan_speedup\": %.2f",
-                hit_rate, static_cast<double>(cold_ns) / 1e3 / kQueries,
-                static_cast<double>(warm_ns) / 1e3 / kQueries, speedup);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "\"warm_hit_rate\": %.3f", hit_rate);
   *extra_json = buf;
-  std::fprintf(stderr,
-               "  %-28s warm hit rate %.1f%%, plan %.2fus -> %.2fus "
-               "per query (%.1fx)\n",
-               "plan_cache_hot_loop", hit_rate * 100.0,
-               static_cast<double>(cold_ns) / 1e3 / kQueries,
-               static_cast<double>(warm_ns) / 1e3 / kQueries, speedup);
+  std::fprintf(stderr, "  %-28s warm hit rate %.1f%%\n", "plan_cache_hot_loop",
+               hit_rate * 100.0);
   if (hit_rate < 0.9) {
     std::fprintf(stderr, "bench_trajectory: plan_cache_hot_loop warm hit "
                          "rate %.1f%% below the 90%% gate\n",
@@ -611,29 +483,23 @@ std::uint64_t JoinChain5Hop(int scale) {
 /// The skewed chain at 100x scale (~100k relationships at the default
 /// scale) executed at 1 and at 8 execution threads. Rows visited MUST
 /// be identical — parallelism partitions the work, it never changes the
-/// plan or the operators' semantics — and that sum is what the baseline
-/// gate tracks. The wall-clock speedup is recorded in the JSON (and on
-/// stderr) but deliberately not gated: CI machines differ in core
-/// count, and a single-core runner legitimately reports ~1x.
-std::uint64_t ParallelJoinSkewed(int scale, std::string* extra_json) {
+/// plan or the operators' semantics — and the sum over the scenario's
+/// three runs (1, 1 and 8 threads) is what the baseline gate tracks.
+std::uint64_t ParallelJoinSkewed(int scale) {
   auto world = seed::bench::BuildSkewedChain(scale * 100);
-  auto run_at = [&](int threads, std::uint64_t* rows_out) -> std::uint64_t {
+  auto rows_at = [&](int threads) -> std::uint64_t {
     Planner planner(world.db.get());
     seed::exec::ExecPolicy policy = planner.exec_policy();
     policy.threads = threads;
     planner.set_exec_policy(policy);
     std::uint64_t rows_before = RowsVisitedCounter();
-    std::uint64_t t0 = seed::obs::NowNanos();
     auto r = planner.JoinPipeline(world.inputs, world.hops);
-    std::uint64_t dt = seed::obs::NowNanos() - t0;
     if (!r.ok()) Die("JoinPipeline", r.status());
-    if (rows_out != nullptr) *rows_out = RowsVisitedCounter() - rows_before;
-    return dt;
+    return RowsVisitedCounter() - rows_before;
   };
-  (void)run_at(1, nullptr);  // warm-up (allocator, adjacency, page cache)
-  std::uint64_t rows_serial = 0, rows_parallel = 0;
-  std::uint64_t ns_serial = run_at(1, &rows_serial);
-  std::uint64_t ns_parallel = run_at(8, &rows_parallel);
+  (void)rows_at(1);  // first of the three counted runs
+  std::uint64_t rows_serial = rows_at(1);
+  std::uint64_t rows_parallel = rows_at(8);
   if (rows_serial != rows_parallel) {
     std::fprintf(stderr,
                  "bench_trajectory: parallel_join_skewed visited %" PRIu64
@@ -642,19 +508,6 @@ std::uint64_t ParallelJoinSkewed(int scale, std::string* extra_json) {
                  rows_parallel, rows_serial);
     std::exit(1);
   }
-  double speedup = ns_parallel == 0
-                       ? 0.0
-                       : static_cast<double>(ns_serial) /
-                             static_cast<double>(ns_parallel);
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "\"speedup_8t_vs_1t\": %.2f, \"serial_ms\": %.3f, "
-                "\"parallel_ms\": %.3f",
-                speedup, static_cast<double>(ns_serial) / 1e6,
-                static_cast<double>(ns_parallel) / 1e6);
-  *extra_json = buf;
-  std::fprintf(stderr, "  %-28s 8-thread speedup %.2fx\n",
-               "parallel_join_skewed", speedup);
   return 2;
 }
 
@@ -706,16 +559,10 @@ void WriteTrajectory(FILE* out, int scale,
                kSchemaVersion, kPr, scale);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScenarioResult& r = results[i];
-    double ms = static_cast<double>(r.elapsed_ns) / 1e6;
-    double throughput =
-        r.elapsed_ns == 0 ? 0.0
-                          : static_cast<double>(r.ops) /
-                                (static_cast<double>(r.elapsed_ns) / 1e9);
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"ops\": %" PRIu64
-                 ", \"elapsed_ms\": %.3f, \"throughput_ops_per_s\": %.0f, "
-                 "\"rows_visited\": %" PRIu64 "%s%s}%s\n",
-                 r.name.c_str(), r.ops, ms, throughput, r.rows_visited,
+                 ", \"rows_visited\": %" PRIu64 "%s%s}%s\n",
+                 r.name.c_str(), r.ops, r.rows_visited,
                  r.extra_json.empty() ? "" : ", ", r.extra_json.c_str(),
                  i + 1 == results.size() ? "" : ",");
   }
@@ -827,30 +674,17 @@ int main(int argc, char** argv) {
   results.push_back(RunScenario("multiuser_checkout_checkin", [&] {
     return MultiuserCheckoutCheckin(scale);
   }));
-  // Scenario-specific extras append after RunScenario's own query-phase
-  // quantile fields.
-  auto append_extra = [&](const std::string& extra) {
-    if (extra.empty()) return;
-    if (!results.back().extra_json.empty()) results.back().extra_json += ", ";
-    results.back().extra_json += extra;
-  };
-  std::string multiuser_extra;
-  results.push_back(RunScenario("multiuser_concurrent", [&] {
-    return MultiuserConcurrent(&multiuser_extra);
-  }));
-  append_extra(multiuser_extra);
+  results.push_back(RunScenario("multiuser_concurrent", MultiuserConcurrent));
   results.push_back(
       RunScenario("join_chain_5hop", [&] { return JoinChain5Hop(scale); }));
   std::string cache_extra;
   results.push_back(RunScenario("plan_cache_hot_loop", [&] {
     return PlanCacheHotLoop(scale, &cache_extra);
   }));
-  append_extra(cache_extra);
-  std::string parallel_extra;
+  results.back().extra_json = cache_extra;
   results.push_back(RunScenario("parallel_join_skewed", [&] {
-    return ParallelJoinSkewed(scale, &parallel_extra);
+    return ParallelJoinSkewed(scale);
   }));
-  append_extra(parallel_extra);
 
   FILE* out = stdout;
   if (!out_path.empty()) {

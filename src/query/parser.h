@@ -55,9 +55,10 @@
 // chains run the plan *tree* the hop-bitset DP chooses from the actual
 // binder sizes and the tracked degree statistics: left-deep or bushy
 // (segment x segment), with a selective hop written last still running
-// first. 'explain find ...'
-// prints every binder's selection plan plus the nested plan tree with
-// per-join strategy and estimated vs. actual rows. `find rel` filters
+// first. The query runs that one DP, and the tree executes exactly as
+// planned. 'explain find ...' prints every binder's selection plan plus
+// the nested plan tree with per-join strategy and estimated vs. actual
+// rows. `find rel` filters
 // the relationships of an association by their attribute sub-objects
 // (paper Fig. 3: `Write.NumberOfWrites`), served by relationship-side
 // indexes the same way.

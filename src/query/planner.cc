@@ -201,19 +201,6 @@ void AppendShapeKey(const PredicateShape* shape, std::string* out) {
   *out += "?";
 }
 
-/// One adaptive mid-chain re-plan (divergent intermediate re-entered
-/// the join DP).
-void CountAdaptiveReplan() {
-  static obs::Counter* replans = obs::MetricsRegistry::Global().GetCounter(
-      "planner.adaptive.replans.total");
-  replans->Increment();
-}
-
-/// An intermediate this far off its estimate (either direction,
-/// +1-smoothed) abandons the running tree and re-enters the DP for the
-/// remaining segments.
-constexpr double kAdaptiveDivergence = 8.0;
-
 /// Participation skew past this multiple of the mean degree inflates
 /// the index-nested-loop degree estimate.
 constexpr double kDegreeSkewThreshold = 8.0;
@@ -854,12 +841,8 @@ std::string Planner::PhysicalPlan::ToAnalyzeString(bool mask_times) const {
     if (!s.empty()) s += "; ";
     s += root->ToAnalyzeString(binders, mask_times);
   }
-  // Cache/adaptive markers only when they fired, so fresh by-the-plan
-  // executions render exactly as before.
+  // Marked only on a hit, so a fresh execution renders unmarked.
   if (from_cache) s += "; plan-cache: hit";
-  if (adaptive_replans > 0) {
-    s += "; adaptive-replans: " + std::to_string(adaptive_replans);
-  }
   return s;
 }
 
@@ -935,7 +918,7 @@ struct Planner::DpEntry {
 
 std::unique_ptr<Planner::Node> Planner::OptimizeJoinTree(
     const std::vector<PipelineHop>& hops,
-    const std::vector<double>& input_rows, bool allow_tuple_joins) const {
+    const std::vector<double>& input_rows) const {
   // 63 hops bounds the bitset key (and is far beyond any real chain);
   // ValidatePipelineInputs enforces the same ceiling on the executing
   // entry points.
@@ -997,9 +980,7 @@ std::unique_ptr<Planner::Node> Planner::OptimizeJoinTree(
       // Bushy tuple joins: overlapping segments [lo, m] and [m, hi]
       // merged on the shared binder m — each side executes its own hops
       // independently, so neither drags the other's intermediate.
-      // Disabled for adaptive re-planning, where the inputs can be
-      // multi-column segments.
-      for (int m = allow_tuple_joins ? hi - 1 : lo; m > lo; --m) {
+      for (int m = hi - 1; m > lo; --m) {
         double l_rows = seg_rows(lo, m);
         double r_rows = seg_rows(m, hi);
         double rows = CostModel::TupleJoinRows(l_rows, r_rows, input_rows[m]);
@@ -1154,29 +1135,25 @@ bool Planner::ShouldForkChildren(const Node& node) const {
              policy_.min_parallel_cost;
 }
 
-/// Adaptive-execution state: the rows of executed segments no parent
-/// join has consumed yet, keyed by their subtree root, and whether
-/// execution stopped on a diverged intermediate.
-struct Planner::Adaptive {
-  std::unordered_map<const Node*, QueryRelation> done;
-  bool stopped = false;
-};
-
 namespace {
 
-/// True when a completed join's actual rows diverge from its estimate
-/// past kAdaptiveDivergence (+1-smoothed so empty-vs-tiny never divides
-/// by zero).
-bool Diverged(const Planner::PhysicalPlan::Node& node) {
-  const double actual = static_cast<double>(node.actual_rows);
-  return (actual + 1.0) / (node.est_rows + 1.0) > kAdaptiveDivergence ||
-         (node.est_rows + 1.0) / (actual + 1.0) > kAdaptiveDivergence;
+/// The q-error of an executed node (Moerkotte, Neumann and Steidl,
+/// PVLDB 2009): the factor by which its actual rows miss its estimate in
+/// either direction, +1-smoothed so empty-vs-tiny never divides by zero,
+/// rounded up to a whole factor (1 = exact).
+std::uint64_t QError(const Planner::PhysicalPlan::Node& node) {
+  const double actual = static_cast<double>(node.actual_rows) + 1.0;
+  const double est = node.est_rows + 1.0;
+  return static_cast<std::uint64_t>(
+      std::ceil(std::max(actual / est, est / actual)));
 }
 
-bool HasTupleJoin(const Planner::PhysicalPlan::Node* node) {
-  if (node == nullptr) return false;
-  return node->kind == Planner::PhysicalPlan::Node::Kind::kTupleJoin ||
-         HasTupleJoin(node->left.get()) || HasTupleJoin(node->right.get());
+/// One sample per executed join node: how wrong the planner's estimates
+/// run across a workload.
+void RecordQError(const Planner::PhysicalPlan::Node& node) {
+  static obs::Histogram* qerror =
+      obs::MetricsRegistry::Global().GetHistogram("planner.estimate.qerror");
+  qerror->Record(QError(node));
 }
 
 std::vector<double> InputSizes(const std::vector<QueryRelation>& inputs) {
@@ -1192,8 +1169,7 @@ std::vector<double> InputSizes(const std::vector<QueryRelation>& inputs) {
 
 Result<QueryRelation> Planner::ExecuteNode(
     Node* node, const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, obs::ExecContext* ctx,
-    Adaptive* adaptive) const {
+    const std::vector<PipelineHop>& hops, obs::ExecContext* ctx) const {
   // Two steady_clock reads per *node* (never per row) when an
   // EXPLAIN ANALYZE context asked for operator timing; children are
   // timed inside the parent's window, so a node's clock is inclusive.
@@ -1202,14 +1178,8 @@ Result<QueryRelation> Planner::ExecuteNode(
   // subtree and are published to the parent at the Await barrier.
   const bool timed = ctx != nullptr && ctx->time_nodes;
   const std::uint64_t start = timed ? obs::NowNanos() : 0;
-  // Clock of children executed before a re-plan grafted them here: they
-  // ran outside this node's window but belong to its inclusive time.
-  long long carried_ns = 0;
   // Executes a child into `storage` — except input leaves, which read
-  // the materialized binder relation in place (no copy), and segments a
-  // re-plan grafted in, which hand over their rows. Under adaptive
-  // execution a child (never the root) whose rows diverge from its
-  // estimate parks its rows and stops the run.
+  // the materialized binder relation in place (no copy).
   auto child = [&](Node* n, QueryRelation* storage)
       -> Result<const QueryRelation*> {
     if (n->kind == Node::Kind::kInput) {
@@ -1217,45 +1187,27 @@ Result<QueryRelation> Planner::ExecuteNode(
       if (timed) n->elapsed_ns = 0;  // read in place — no work to time
       return &inputs[n->binder];
     }
-    if (adaptive != nullptr) {
-      if (auto it = adaptive->done.find(n); it != adaptive->done.end()) {
-        *storage = std::move(it->second);
-        adaptive->done.erase(it);
-        carried_ns += std::max<long long>(n->elapsed_ns, 0);
-        return storage;
-      }
-    }
-    SEED_ASSIGN_OR_RETURN(*storage,
-                          ExecuteNode(n, inputs, hops, ctx, adaptive));
-    if (adaptive != nullptr && !adaptive->stopped && Diverged(*n)) {
-      adaptive->done[n] = std::move(*storage);
-      adaptive->stopped = true;
-    }
+    SEED_ASSIGN_OR_RETURN(*storage, ExecuteNode(n, inputs, hops, ctx));
     return storage;
-  };
-  auto stopped = [adaptive] {
-    return adaptive != nullptr && adaptive->stopped;
   };
   using Sides = std::pair<const QueryRelation*, const QueryRelation*>;
   // Resolves both children. When the policy allows it and the DP's own
   // cost estimates say both joined subtrees are substantial, the left
   // subtree executes as a concurrent task on the worker pool while this
   // thread runs the right — the bushy-plan concurrency the optimizer's
-  // tree shape makes available. Adaptive execution never forks: a stop
-  // must leave exactly one frontier of executed segments.
+  // tree shape makes available.
   auto children = [&](QueryRelation* left_storage,
                       QueryRelation* right_storage) -> Result<Sides> {
-    if (adaptive == nullptr && ShouldForkChildren(*node)) {
+    if (ShouldForkChildren(*node)) {
       std::optional<Result<QueryRelation>> left_result;
       exec::WorkerPool& pool = exec::WorkerPool::Global();
       pool.EnsureWorkers(policy_.threads - 1);
       exec::TaskGroup group;
       pool.Submit(&group, [&] {
-        left_result.emplace(
-            ExecuteNode(node->left.get(), inputs, hops, ctx, nullptr));
+        left_result.emplace(ExecuteNode(node->left.get(), inputs, hops, ctx));
       });
       Result<QueryRelation> right_result =
-          ExecuteNode(node->right.get(), inputs, hops, ctx, nullptr);
+          ExecuteNode(node->right.get(), inputs, hops, ctx);
       pool.Await(&group);
       if (!left_result->ok()) return left_result->status();
       if (!right_result.ok()) return right_result.status();
@@ -1265,13 +1217,8 @@ Result<QueryRelation> Planner::ExecuteNode(
     }
     SEED_ASSIGN_OR_RETURN(const QueryRelation* left,
                           child(node->left.get(), left_storage));
-    if (stopped()) return Sides();
     SEED_ASSIGN_OR_RETURN(const QueryRelation* right,
                           child(node->right.get(), right_storage));
-    if (stopped() && node->left->kind != Node::Kind::kInput) {
-      // The executed left segment waits for the re-plan with the rest.
-      adaptive->done[node->left.get()] = std::move(*left_storage);
-    }
     return Sides(left, right);
   };
   auto run = [&]() -> Result<QueryRelation> {
@@ -1285,7 +1232,6 @@ Result<QueryRelation> Planner::ExecuteNode(
         QueryRelation left_storage, right_storage;
         SEED_ASSIGN_OR_RETURN(Sides sides,
                               children(&left_storage, &right_storage));
-        if (stopped()) return QueryRelation();
         // The left input ends at binder `hop`, the right starts at binder
         // `hop` + 1; empty inputs short-circuit inside RelationshipJoin.
         auto joined = algebra_.RelationshipJoin(
@@ -1294,6 +1240,7 @@ Result<QueryRelation> Planner::ExecuteNode(
             inputs[node->hop + 1].attributes[0], node->join.options());
         if (!joined.ok()) return joined.status();
         node->actual_rows = static_cast<long long>(joined->size());
+        RecordQError(*node);
         return joined;
       }
       case Node::Kind::kTupleJoin: {
@@ -1305,69 +1252,15 @@ Result<QueryRelation> Planner::ExecuteNode(
             inputs[node->shared_binder].attributes[0]);
         if (!merged.ok()) return merged.status();
         node->actual_rows = static_cast<long long>(merged->size());
+        RecordQError(*node);
         return merged;
       }
     }
     return Status::Internal("unplanned node");
   };
   Result<QueryRelation> result = run();
-  if (timed) {
-    node->elapsed_ns =
-        static_cast<long long>(obs::NowNanos() - start) + carried_ns;
-  }
+  if (timed) node->elapsed_ns = static_cast<long long>(obs::NowNanos() - start);
   return result;
-}
-
-std::unique_ptr<Planner::Node> Planner::ReplanSegments(
-    std::unique_ptr<Node> root, const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, const Adaptive& adaptive) const {
-  // The stopped tree falls apart into the segments it covers, in binder
-  // order: executed subtrees (their rows parked in `adaptive`) and the
-  // binder leaves no join has consumed.
-  std::vector<std::unique_ptr<Node>> segs;
-  auto split = [&](auto&& self, std::unique_ptr<Node> node) -> void {
-    if (node->kind == Node::Kind::kInput ||
-        adaptive.done.count(node.get()) != 0) {
-      segs.push_back(std::move(node));
-      return;
-    }
-    self(self, std::move(node->left));
-    self(self, std::move(node->right));
-  };
-  split(split, std::move(root));
-
-  // The remaining problem is isomorphic to a fresh chain — segments are
-  // pseudo-binders and the connecting hop between neighbors j, j+1 is
-  // the real hop at segs[j]->hi — except that tuple joins are off (a
-  // pseudo-binder can be a multi-column segment a single-column tuple
-  // merge cannot soundly collapse).
-  std::vector<PipelineHop> seg_hops;
-  std::vector<double> seg_rows;
-  std::vector<int> real_hop;
-  for (size_t j = 0; j < segs.size(); ++j) {
-    const Node* s = segs[j].get();
-    seg_rows.push_back(static_cast<double>(
-        s->kind == Node::Kind::kInput ? inputs[s->binder].size()
-                                      : adaptive.done.at(s).size()));
-    if (j + 1 < segs.size()) {
-      seg_hops.push_back(hops[s->hi]);
-      real_hop.push_back(s->hi);
-    }
-  }
-  // Graft: pseudo-binder leaves become their segments, pseudo hops their
-  // real hops.
-  auto graft = [&](auto&& self,
-                   std::unique_ptr<Node> node) -> std::unique_ptr<Node> {
-    if (node->kind == Node::Kind::kInput) return std::move(segs[node->binder]);
-    node->left = self(self, std::move(node->left));
-    node->right = self(self, std::move(node->right));
-    node->hop = real_hop[node->hop];
-    node->lo = node->left->lo;
-    node->hi = node->right->hi;
-    return node;
-  };
-  return graft(graft, OptimizeJoinTree(seg_hops, seg_rows,
-                                       /*allow_tuple_joins=*/false));
 }
 
 namespace {
@@ -1381,9 +1274,15 @@ obs::Counter& RowsVisitedCounter() {
 }
 }  // namespace
 
-Result<QueryRelation> Planner::FinishJoin(
-    const std::vector<QueryRelation>& inputs, const QueryRelation& joined,
-    PhysicalPlan plan, PhysicalPlan* plan_out) const {
+Result<QueryRelation> Planner::ExecuteJoin(
+    const std::vector<QueryRelation>& inputs,
+    const std::vector<PipelineHop>& hops, PhysicalPlan plan,
+    PhysicalPlan* plan_out, obs::ExecContext* ctx) const {
+  if (plan.root == nullptr) {
+    plan.root = OptimizeJoinTree(hops, InputSizes(inputs));
+  }
+  SEED_ASSIGN_OR_RETURN(QueryRelation joined,
+                        ExecuteNode(plan.root.get(), inputs, hops, ctx));
   RowsVisitedCounter().Increment(
       static_cast<std::uint64_t>(plan.RowsVisited()));
   // Report the estimates of the tree actually executed.
@@ -1420,12 +1319,7 @@ Result<QueryRelation> Planner::JoinPipeline(
     const std::vector<PipelineHop>& hops, PhysicalPlan* plan_out,
     obs::ExecContext* ctx) const {
   SEED_RETURN_IF_ERROR(ValidatePipelineInputs(inputs, hops));
-  PhysicalPlan plan;
-  plan.root = OptimizeJoinTree(hops, InputSizes(inputs));
-  SEED_ASSIGN_OR_RETURN(
-      QueryRelation joined,
-      ExecuteNode(plan.root.get(), inputs, hops, ctx, nullptr));
-  return FinishJoin(inputs, joined, std::move(plan), plan_out);
+  return ExecuteJoin(inputs, hops, PhysicalPlan(), plan_out, ctx);
 }
 
 Result<QueryRelation> Planner::JoinPipelineInOrder(
@@ -1436,10 +1330,7 @@ Result<QueryRelation> Planner::JoinPipelineInOrder(
   PhysicalPlan plan;
   SEED_ASSIGN_OR_RETURN(plan.root,
                         TreeForOrder(hops, InputSizes(inputs), order));
-  SEED_ASSIGN_OR_RETURN(
-      QueryRelation joined,
-      ExecuteNode(plan.root.get(), inputs, hops, nullptr, nullptr));
-  return FinishJoin(inputs, joined, std::move(plan), plan_out);
+  return ExecuteJoin(inputs, hops, std::move(plan), plan_out, nullptr);
 }
 
 Result<QueryRelation> Planner::JoinPipelineSplit(
@@ -1464,10 +1355,7 @@ Result<QueryRelation> Planner::JoinPipelineSplit(
     plan.root = MakeHopJoin(hops, m, LeftDeepTree(hops, sizes, 0, m),
                             LeftDeepTree(hops, sizes, m + 1, n));
   }
-  SEED_ASSIGN_OR_RETURN(
-      QueryRelation joined,
-      ExecuteNode(plan.root.get(), inputs, hops, nullptr, nullptr));
-  return FinishJoin(inputs, joined, std::move(plan), plan_out);
+  return ExecuteJoin(inputs, hops, std::move(plan), plan_out, nullptr);
 }
 
 // --- The unified entry point -------------------------------------------------
@@ -1777,34 +1665,15 @@ Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
     inputs.push_back(std::move(rel));
   }
 
-  // The query's one DP runs here, on the *actual* binder sizes, which
-  // are now known for free: a scan plan's pre-execution estimate is the
-  // whole extent regardless of predicate selectivity, and a join
-  // strategy chosen for a 100k-row estimate is badly wrong for the 3
-  // rows a selective residual actually kept. It is timed in the execute
-  // phase.
-  const std::vector<PipelineHop> hops = LowerHops(chain);
-  plan.root = OptimizeJoinTree(hops, InputSizes(inputs));
-  // A tree adapts or forks, never both. A hop-only tree executes
-  // adaptively: when an intermediate diverges from its estimate,
-  // execution stops, the executed segments re-enter the DP with exact
-  // sizes, and execution resumes under the new tree. A tree with a
-  // tuple join executes as planned (the segment re-plan cannot express
-  // overlapping segments) and may fork its subtrees.
-  Adaptive adaptive;
-  Adaptive* watch = HasTupleJoin(plan.root.get()) ? nullptr : &adaptive;
-  QueryRelation joined;
-  while (true) {
-    SEED_ASSIGN_OR_RETURN(
-        joined, ExecuteNode(plan.root.get(), inputs, hops, ctx, watch));
-    if (!adaptive.stopped) break;
-    plan.root = ReplanSegments(std::move(plan.root), inputs, hops, adaptive);
-    adaptive.stopped = false;
-    ++plan.adaptive_replans;
-    CountAdaptiveReplan();
-  }
-  SEED_ASSIGN_OR_RETURN(out.tuples,
-                        FinishJoin(inputs, joined, std::move(plan), plan_out));
+  // The query's one DP runs in ExecuteJoin, on the *actual* binder
+  // sizes, which are now known for free: a scan plan's pre-execution
+  // estimate is the whole extent regardless of predicate selectivity,
+  // and a join strategy chosen for a 100k-row estimate is badly wrong
+  // for the 3 rows a selective residual actually kept. It is timed in
+  // the execute phase, and the tree runs exactly as planned.
+  SEED_ASSIGN_OR_RETURN(
+      out.tuples,
+      ExecuteJoin(inputs, LowerHops(chain), std::move(plan), plan_out, ctx));
   return out;
 }
 

@@ -44,6 +44,10 @@
 // The DP is polynomial in the chain length, which is what lifted the
 // grammar's hop cap from 3 (exhaustive left-deep enumeration) to
 // LogicalChain::kMaxHops. Ties keep the textual left-deep composition.
+// The winning tree executes exactly as planned (no mid-chain
+// re-planning; any subtree may fork), and every executed join node
+// records its q-error in planner.estimate.qerror, so estimate quality
+// stays visible without a debugger.
 // LeftDeepOrders / JoinPipelineInOrder / JoinPipelineSplit execute
 // explicit left-deep orderings and explicit bushy splits for the
 // differential tests and benches; every shape computes the same relation.
@@ -244,10 +248,6 @@ class Planner {
     /// tree is always re-derived from actual binder sizes). Surfaced by
     /// ToAnalyzeString only — the EXPLAIN golden surface is unchanged.
     bool from_cache = false;
-    /// How many times execution abandoned the running join tree and
-    /// re-entered the DP because an intermediate diverged from its
-    /// estimate (see Planner::Run). Zero for by-the-plan executions.
-    int adaptive_replans = 0;
 
     /// True when any node in the tree is a bushy join.
     bool HasBushyJoin() const;
@@ -299,8 +299,8 @@ class Planner {
   /// the hop-bitset DP picks the cheapest join tree (hop joins and bushy
   /// tuple joins) from their *actual* sizes, so a selective residual a
   /// scan estimate could not see still gets the right join strategies.
-  /// The DP runs once per query (plus once per adaptive re-plan) and is
-  /// timed in the execute phase. Results are identical to the
+  /// The DP runs once per query, is timed in the execute phase, and its
+  /// tree executes exactly as planned. Results are identical to the
   /// brute-force reference for every chain shape and plan. `ctx`
   /// (optional) collects per-phase wall-clock and turns on per-node
   /// operator timing for EXPLAIN ANALYZE.
@@ -383,8 +383,7 @@ class Planner {
   /// `plan_out` receives the executed plan with per-node actual rows. An
   /// empty intermediate short-circuits inside the physical operators.
   /// `ctx` (optional) turns on per-node operator timing. A one-hop
-  /// pipeline is the single planned relationship join. Like the explicit
-  /// shapes below it executes as planned, never adaptively; hop roles
+  /// pipeline is the single planned relationship join. Hop roles
   /// outside {0, 1} are InvalidArgument.
   Result<QueryRelation> JoinPipeline(const std::vector<QueryRelation>& inputs,
                                      const std::vector<PipelineHop>& hops,
@@ -413,7 +412,6 @@ class Planner {
  private:
   struct Candidate;  // sargable conjunct bound to an index (planner.cc)
   struct DpEntry;    // best (rows, cost, decision) per hop bitset
-  struct Adaptive;   // executed segments parked across a re-plan
 
   using Node = PhysicalPlan::Node;
 
@@ -427,13 +425,9 @@ class Planner {
   /// input_rows has a single binder (the leaf is built by the caller) —
   /// otherwise always a tree covering every hop exactly once, and the
   /// run counts once in planner.dp.runs.total.
-  /// `allow_tuple_joins` is cleared by adaptive mid-chain re-planning,
-  /// where a "binder" can be an already-joined multi-column segment a
-  /// single-column tuple merge cannot soundly collapse.
   std::unique_ptr<Node> OptimizeJoinTree(
       const std::vector<PipelineHop>& hops,
-      const std::vector<double>& input_rows,
-      bool allow_tuple_joins = true) const;
+      const std::vector<double>& input_rows) const;
 
   /// A leaf node reading binder `i`.
   static std::unique_ptr<Node> MakeLeaf(int binder, double rows);
@@ -466,36 +460,26 @@ class Planner {
       const std::vector<QueryRelation>& inputs,
       const std::vector<PipelineHop>& hops);
 
-  /// The one executor: runs `node` over the materialized binder inputs,
-  /// recording per-node actual rows (and inclusive wall-clock when `ctx`
-  /// asks for node timing). With `adaptive` null the tree executes as
-  /// planned and may fork its subtrees. Otherwise nothing forks, and
-  /// when a completed non-root hop join diverges from its estimate past
-  /// the adaptive threshold, execution stops with `adaptive->stopped`
-  /// set and every executed, unconsumed segment's rows parked in
-  /// `adaptive` (the returned relation is then empty).
+  /// The one executor: runs `node` over the materialized binder inputs
+  /// exactly as planned, recording per-node actual rows (and inclusive
+  /// wall-clock when `ctx` asks for node timing) and one
+  /// planner.estimate.qerror sample per join node. Any subtree may fork
+  /// (ShouldForkChildren).
   Result<QueryRelation> ExecuteNode(Node* node,
                                     const std::vector<QueryRelation>& inputs,
                                     const std::vector<PipelineHop>& hops,
-                                    obs::ExecContext* ctx,
-                                    Adaptive* adaptive) const;
+                                    obs::ExecContext* ctx) const;
 
-  /// Re-plans a stopped tree: splits it into its executed segments and
-  /// unconsumed binder leaves, runs the DP over them with tuple joins
-  /// off, and grafts the executed subtrees in as leaves of the new tree
-  /// (ExecuteNode reads their parked rows instead of re-running them).
-  std::unique_ptr<Node> ReplanSegments(
-      std::unique_ptr<Node> root, const std::vector<QueryRelation>& inputs,
-      const std::vector<PipelineHop>& hops, const Adaptive& adaptive) const;
-
-  /// The one exit of every executed join tree: counts its rows visited,
-  /// takes the estimates of the tree actually executed, projects
-  /// `joined` back to textual binder-column order and hands the plan to
-  /// `plan_out`.
-  Result<QueryRelation> FinishJoin(const std::vector<QueryRelation>& inputs,
-                                   const QueryRelation& joined,
-                                   PhysicalPlan plan,
-                                   PhysicalPlan* plan_out) const;
+  /// The one tail of every join: a `plan` without a tree gets the one DP
+  /// over the inputs' actual sizes (explicit shapes arrive with theirs),
+  /// then the tree executes, its rows visited are counted, the plan
+  /// takes the estimates of the tree executed, and the result is
+  /// projected back to textual binder-column order. `plan_out` receives
+  /// the executed plan.
+  Result<QueryRelation> ExecuteJoin(const std::vector<QueryRelation>& inputs,
+                                    const std::vector<PipelineHop>& hops,
+                                    PhysicalPlan plan, PhysicalPlan* plan_out,
+                                    obs::ExecContext* ctx) const;
 
   // --- Plan cache (query/plan_cache.h) ---------------------------------------
 

@@ -52,12 +52,14 @@ Result<SessionStats> RunSession(SpecTool* tool,
   };
   std::vector<FlowRef> flows;
   for (std::size_t a = 0; a < params.num_actions; ++a) {
+    // Only this action's own flows, the tail of `flows`, can repeat a pair.
+    const std::size_t first = flows.size();
     for (std::size_t j = 0;
          j < params.flows_per_action && j < params.num_data; ++j) {
       std::size_t d = (a * 7 + j * 13) % params.num_data;
       bool duplicate = false;
-      for (const FlowRef& f : flows) {
-        if (f.action == a && f.data == d) {
+      for (std::size_t k = first; k < flows.size(); ++k) {
+        if (flows[k].data == d) {
           duplicate = true;
           break;
         }

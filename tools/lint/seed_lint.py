@@ -42,7 +42,7 @@ SUBSYSTEMS = (
     "core", "index", "storage", "multiuser", "version",
     "query", "algebra", "exec", "obs", "server",
     # Statistics-v2 / plan-cache instruments (docs/metrics.md): the
-    # planner's cache and adaptive-execution counters, and the
+    # planner's cache, DP and estimate-quality instruments, and the
     # estimation layer's histogram instruments.
     "planner", "stats",
 )
