@@ -569,41 +569,54 @@ void WriteTrajectory(FILE* out, int scale,
   std::fprintf(out, "  ]\n}\n");
 }
 
-/// Times the join chain with metrics enabled vs. disabled (min of
-/// `kReps`, one warm-up discarded) and fails past 5% slowdown.
+/// Times the join chain with metrics enabled vs. disabled and fails past
+/// 5% slowdown. One sample runs the pipeline often enough to last about
+/// `kSampleNs`, so timer and scheduler jitter average out inside it.
+/// Enabled and disabled samples alternate in `kPairs` pairs, each pair
+/// with the other side first, and the gate reads the median of the
+/// per-pair ratios: a drift in machine speed or a stall on one side moves
+/// it little.
 int OverheadCheck(int scale) {
+  constexpr std::uint64_t kSampleNs = 25'000'000;
+  constexpr int kPairs = 21;
   auto world = seed::bench::BuildSkewedChain(scale * 5);
   Planner planner(world.db.get());
-  auto run_once = [&](bool on) -> std::uint64_t {
+  auto time_runs = [&](bool on, std::uint64_t runs) -> std::uint64_t {
     seed::obs::SetMetricsEnabled(on);
     std::uint64_t t0 = seed::obs::NowNanos();
-    auto r = planner.JoinPipeline(world.inputs, world.hops);
-    std::uint64_t dt = seed::obs::NowNanos() - t0;
-    if (!r.ok()) Die("JoinPipeline", r.status());
-    return dt;
+    for (std::uint64_t i = 0; i < runs; ++i) {
+      auto r = planner.JoinPipeline(world.inputs, world.hops);
+      if (!r.ok()) Die("JoinPipeline", r.status());
+    }
+    return std::max<std::uint64_t>(seed::obs::NowNanos() - t0, 1);
   };
-  // Warm-up both variants, then interleave enabled/disabled pairs so
-  // clock drift, allocator warmth, and scheduler noise land on both
-  // sides equally; min-of-N per side filters the remaining outliers.
-  (void)run_once(true);
-  (void)run_once(false);
-  std::uint64_t enabled = UINT64_MAX;
-  std::uint64_t disabled = UINT64_MAX;
-  const int kReps = 9;
-  for (int rep = 0; rep < kReps; ++rep) {
-    enabled = std::min(enabled, run_once(true));
-    disabled = std::min(disabled, run_once(false));
+  // Warm up both variants; the warm disabled run sizes a sample.
+  (void)time_runs(true, 1);
+  const std::uint64_t one_run = time_runs(false, 1);
+  const std::uint64_t runs = std::max<std::uint64_t>(1, kSampleNs / one_run);
+  std::vector<double> ratios;
+  std::uint64_t enabled = 0;
+  std::uint64_t disabled = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const bool enabled_first = pair % 2 == 0;
+    const std::uint64_t first = time_runs(enabled_first, runs);
+    const std::uint64_t second = time_runs(!enabled_first, runs);
+    const std::uint64_t on = enabled_first ? first : second;
+    const std::uint64_t off = enabled_first ? second : first;
+    enabled += on;
+    disabled += off;
+    ratios.push_back(static_cast<double>(on) / static_cast<double>(off));
   }
   seed::obs::SetMetricsEnabled(true);
-  double overhead =
-      disabled == 0 ? 0.0
-                    : static_cast<double>(enabled) /
-                              static_cast<double>(disabled) -
-                          1.0;
-  std::printf("metrics overhead: enabled %.3fms, disabled %.3fms "
-              "(%+.1f%%)\n",
-              static_cast<double>(enabled) / 1e6,
-              static_cast<double>(disabled) / 1e6, overhead * 100.0);
+  std::sort(ratios.begin(), ratios.end());
+  const double overhead = ratios[ratios.size() / 2] - 1.0;
+  const double per_run = static_cast<double>(kPairs * runs) * 1e6;
+  std::printf("metrics overhead: %d pairs of %" PRIu64 " runs, enabled "
+              "%.3fms, disabled %.3fms per run, median pair %+.1f%% "
+              "(pairs %+.1f%% .. %+.1f%%)\n",
+              kPairs, runs, static_cast<double>(enabled) / per_run,
+              static_cast<double>(disabled) / per_run, overhead * 100.0,
+              (ratios.front() - 1.0) * 100.0, (ratios.back() - 1.0) * 100.0);
   if (overhead > 0.05) {
     std::fprintf(stderr, "FAIL: metrics overhead %.1f%% exceeds the 5%% "
                          "budget\n",

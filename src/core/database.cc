@@ -57,15 +57,20 @@ void CountReclassify() {
 }
 
 /// Writes `states` over `table` in id order, replacing same-id items; new
-/// ids' nodes move across instead of being copied. Returns the written
-/// positions in id order.
-template <typename Map>
-std::vector<typename Map::iterator> OverwriteItems(Map& table, Map& states) {
+/// ids' nodes move across instead of being copied, and `ids` reserves
+/// through them. An id the table already held is not reserved again: a
+/// client workspace pins its generator below the foreign ids it imported.
+/// Returns the written positions in id order.
+template <typename Map, typename Id>
+std::vector<typename Map::iterator> OverwriteItems(Map& table, Map& states,
+                                                   IdGenerator<Id>* ids) {
   std::vector<typename Map::iterator> written;
   written.reserve(states.size());
   while (!states.empty()) {
     auto result = table.insert(states.extract(states.begin()));
-    if (!result.inserted) {
+    if (result.inserted) {
+      ids->ReserveThrough(result.position->first);
+    } else {
       result.position->second = std::move(result.node.mapped());
     }
     written.push_back(result.position);
@@ -87,11 +92,15 @@ Database::Database(schema::SchemaPtr schema)
 
 std::unique_ptr<Database> Database::Copy() const {
   std::unique_ptr<Database> copy(new Database(*this));
-  copy->instance_id_ = NextInstanceId();
-  copy->ClearChangeTracking();
-  copy->class_procedures_.clear();
-  copy->assoc_procedures_.clear();
+  copy->TakeFreshIdentity();
   return copy;
+}
+
+void Database::TakeFreshIdentity() {
+  instance_id_ = NextInstanceId();
+  ClearChangeTracking();
+  class_procedures_.clear();
+  assoc_procedures_.clear();
 }
 
 ObjectItem* Database::MutableObject(ObjectId id) {
@@ -317,6 +326,9 @@ void Database::EraseListed(const ListRemovals& gone) {
 }
 
 void Database::WriteItemStates(ItemStates states) {
+  // Written items bump the sequence through Touch; erasures and a schema
+  // adoption through this.
+  ++write_seq_;
   // A different schema can move every class family, role and index
   // coverage, so such a batch derives everything, as MigrateToSchema does.
   const bool rederive = states.schema != nullptr && states.schema != schema_;
@@ -386,9 +398,9 @@ void Database::WriteItemStates(ItemStates states) {
     relationships_.erase(id);
     changed_relationships_.erase(id);
   }
-  const auto objects = OverwriteItems(objects_, states.objects);
+  const auto objects = OverwriteItems(objects_, states.objects, &object_ids_);
   const auto relationships =
-      OverwriteItems(relationships_, states.relationships);
+      OverwriteItems(relationships_, states.relationships, &relationship_ids_);
   for (auto it : objects) Touch(it->first);
   for (auto it : relationships) Touch(it->first);
   if (rederive) {
@@ -398,14 +410,8 @@ void Database::WriteItemStates(ItemStates states) {
 
   // New states enter in id order: on an empty database this is exactly
   // the RebuildIndexes pass.
-  for (auto it : objects) {
-    IndexObject(it->second);
-    object_ids_.ReserveThrough(it->first);
-  }
-  for (auto it : relationships) {
-    IndexRelationship(it->second);
-    relationship_ids_.ReserveThrough(it->first);
-  }
+  for (auto it : objects) IndexObject(it->second);
+  for (auto it : relationships) IndexRelationship(it->second);
   if (!refresh) return;
   for (auto it : objects) {
     if (!it->second.deleted && !it->second.is_pattern) {
@@ -446,17 +452,20 @@ void Database::RestoreRelationship(RelationshipItem item) {
 // --- Secondary attribute indexes ---------------------------------------------
 
 Status Database::CreateAttributeIndex(index::IndexSpec spec) {
+  ++write_seq_;
   SEED_RETURN_IF_ERROR(attr_indexes_.CreateIndex(*schema_, spec));
   attr_indexes_.BackfillIndex(*schema_, objects_, relationships_, spec);
   return Status::OK();
 }
 
 Status Database::DropAttributeIndex(ClassId cls, std::string_view role) {
+  ++write_seq_;
   return attr_indexes_.DropIndex(cls, role);
 }
 
 Status Database::DropAttributeIndex(AssociationId assoc,
                                     std::string_view role) {
+  ++write_seq_;
   return attr_indexes_.DropIndex(assoc, role);
 }
 
@@ -1114,6 +1123,7 @@ Status Database::MigrateToSchema(schema::SchemaPtr new_schema) {
   // generalization families may have changed.
   attr_indexes_.PruneInvalidSpecs(*schema_);
   RebuildIndexes();
+  ++write_seq_;
   return Status::OK();
 }
 

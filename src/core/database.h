@@ -259,7 +259,10 @@ class Database {
   /// Trusted mutable access: register index specs here before the first
   /// WriteItemStates() on an empty database so its pass derives their
   /// entries too.
-  index::IndexManager& attribute_indexes_mutable() { return attr_indexes_; }
+  index::IndexManager& attribute_indexes_mutable() {
+    ++write_seq_;
+    return attr_indexes_;
+  }
 
   // --- Checking -------------------------------------------------------------
 
@@ -340,8 +343,8 @@ class Database {
   /// batch that adopts a different schema re-derives everything instead.
   /// Erased ids must not also be written. Written ids count as changed
   /// (callers building a fresh database clear change tracking), erased
-  /// ids no longer do; id generators reserve through every written id and
-  /// never move back.
+  /// ids no longer do; id generators reserve through every id the write
+  /// adds and never move back.
   /// Bypasses consistency checks; callers are trusted layers that audit
   /// afterwards where it matters.
   void WriteItemStates(ItemStates states);
@@ -355,14 +358,31 @@ class Database {
   void RebuildIndexes();
 
   /// A copy of the raw items, id watermarks and every derived structure,
-  /// made without re-deriving anything. It has a fresh instance_id (plan
-  /// cache entries never alias), empty change tracking and no attached
-  /// procedures; each attribute index starts with a fresh histogram.
+  /// made without re-deriving anything. It has a fresh identity (see
+  /// TakeFreshIdentity); each attribute index starts with a fresh
+  /// histogram.
   std::unique_ptr<Database> Copy() const;
+
+  /// Gives this database the identity Copy() gives a copy: a fresh
+  /// instance_id (plan cache entries never alias), empty change tracking
+  /// and no attached procedures. The multiuser server calls it on a
+  /// released snapshot it has brought forward to the master's state.
+  void TakeFreshIdentity();
+
+  /// Monotone count of writes: every item a mutation touches, every bulk
+  /// write, attribute index definition change and schema migration bumps
+  /// it. Equal values at two instants mean nothing was written between
+  /// them, which is how the multiuser server tells its own writes to the
+  /// master from direct ones.
+  std::uint64_t write_seq() const { return write_seq_; }
 
   /// Id generators, exposed so persistence can save/restore watermarks.
   IdGenerator<ObjectId>& object_ids() { return object_ids_; }
   IdGenerator<RelationshipId>& relationship_ids() {
+    return relationship_ids_;
+  }
+  const IdGenerator<ObjectId>& object_ids() const { return object_ids_; }
+  const IdGenerator<RelationshipId>& relationship_ids() const {
     return relationship_ids_;
   }
 
@@ -441,8 +461,14 @@ class Database {
   void MoveParticipantCounts(const RelationshipItem& rel,
                              AssociationId from_assoc,
                              AssociationId to_assoc);
-  void Touch(ObjectId id) { changed_objects_.insert(id); }
-  void Touch(RelationshipId id) { changed_relationships_.insert(id); }
+  void Touch(ObjectId id) {
+    changed_objects_.insert(id);
+    ++write_seq_;
+  }
+  void Touch(RelationshipId id) {
+    changed_relationships_.insert(id);
+    ++write_seq_;
+  }
   /// Re-derives the attribute-index entries of `id` (post-mutation hook;
   /// idempotent). The WithParent variant also refreshes the owner when
   /// `id` is a dependent sub-object — the owning object, or the owning
@@ -560,6 +586,7 @@ class Database {
 
   size_t live_objects_ = 0;
   size_t live_relationships_ = 0;
+  std::uint64_t write_seq_ = 0;
 };
 
 }  // namespace seed::core

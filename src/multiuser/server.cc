@@ -38,7 +38,8 @@ void CountSnapshotPin() {
 }
 
 /// Drops a displaced snapshot outside the locks. When this is its last
-/// reference, the free (an O(database) teardown) is timed.
+/// reference, the release is timed: the hand-back of its database to the
+/// spare slot, or its free when the slot holds a newer epoch.
 void ReleaseSnapshot(version::SnapshotPtr snap) {
   static obs::Histogram* release_ns =
       obs::MetricsRegistry::Global().GetHistogram(
@@ -51,7 +52,42 @@ void ReleaseSnapshot(version::SnapshotPtr snap) {
 }
 }  // namespace
 
-Server::Server(schema::SchemaPtr schema) : schema_(std::move(schema)) {
+/// The newest released snapshot database. Deleters hand epochs back from
+/// any thread; the publisher takes one under master_mu_.
+class Server::SpareSlot {
+ public:
+  void GiveBack(std::unique_ptr<core::Database> db, std::uint64_t epoch)
+      SEED_EXCLUDES(mu_) {
+    common::MutexLock lock(mu_);
+    if (db_ == nullptr || epoch_ < epoch) {
+      db_.swap(db);
+      epoch_ = epoch;
+    }
+    // `db` now holds the older database, if any. A parameter, it is freed
+    // after `lock` has released the mutex.
+  }
+
+  /// The spare, if its epoch is at least `min_epoch` and it has `schema`.
+  std::unique_ptr<core::Database> Take(std::uint64_t min_epoch,
+                                       const schema::SchemaPtr& schema,
+                                       std::uint64_t* epoch)
+      SEED_EXCLUDES(mu_) {
+    common::MutexLock lock(mu_);
+    if (db_ == nullptr || epoch_ < min_epoch || db_->schema() != schema) {
+      return nullptr;
+    }
+    *epoch = epoch_;
+    return std::move(db_);
+  }
+
+ private:
+  common::Mutex mu_;
+  std::unique_ptr<core::Database> db_ SEED_GUARDED_BY(mu_);
+  std::uint64_t epoch_ SEED_GUARDED_BY(mu_) = 0;
+};
+
+Server::Server(schema::SchemaPtr schema)
+    : schema_(std::move(schema)), spare_(std::make_shared<SpareSlot>()) {
   master_ = std::make_unique<core::Database>(schema_);
   versions_ = std::make_unique<version::VersionManager>(master_.get());
 }
@@ -95,9 +131,72 @@ Result<std::uint64_t> Server::IdStripeBase(ClientId client) const {
 
 // --- Snapshots ---------------------------------------------------------------
 
+void Server::RestartLogLocked(std::uint64_t epoch) {
+  commit_log_.clear();
+  log_base_epoch_ = epoch;
+  log_write_seq_ = master_->write_seq();
+}
+
+std::unique_ptr<core::Database> Server::BringSpareForwardLocked() {
+  static obs::Counter* recycled = obs::MetricsRegistry::Global().GetCounter(
+      "server.snapshot.recycled.total");
+  static obs::Histogram* replay_items =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "server.snapshot.replay.items");
+  std::uint64_t spare_epoch = 0;
+  auto db = spare_->Take(log_base_epoch_, master_->schema(), &spare_epoch);
+  if (db == nullptr) return nullptr;
+  // The master's current state of every id a later commit wrote; an id
+  // it no longer holds is erased.
+  core::ItemStates states;
+  const auto& objects = master_->objects_raw();
+  const auto& relationships = master_->relationships_raw();
+  for (const LoggedCommit& commit : commit_log_) {
+    if (commit.epoch <= spare_epoch) continue;
+    for (ObjectId id : commit.objects) {
+      auto it = objects.find(id);
+      if (it == objects.end()) {
+        states.erased_objects.push_back(id);
+      } else {
+        states.objects.try_emplace(id, it->second);
+      }
+    }
+    for (RelationshipId id : commit.relationships) {
+      auto it = relationships.find(id);
+      if (it == relationships.end()) {
+        states.erased_relationships.push_back(id);
+      } else {
+        states.relationships.try_emplace(id, it->second);
+      }
+    }
+  }
+  auto dedupe = [](auto& ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  };
+  dedupe(states.erased_objects);
+  dedupe(states.erased_relationships);
+  std::uint64_t items = states.objects.size() + states.relationships.size();
+  items += states.erased_objects.size() + states.erased_relationships.size();
+  replay_items->Record(items);
+  db->WriteItemStates(std::move(states));
+  db->object_ids() = master_->object_ids();
+  db->relationship_ids() = master_->relationship_ids();
+  db->TakeFreshIdentity();
+  recycled->Increment();
+  return db;
+}
+
 version::SnapshotPtr Server::PublishSnapshotLocked() {
   std::uint64_t epoch = snapshot_epoch_.load(std::memory_order_relaxed) + 1;
-  version::SnapshotPtr snap = version::Snapshot::Capture(*master_, epoch);
+  std::unique_ptr<core::Database> db = BringSpareForwardLocked();
+  if (db == nullptr) db = master_->Copy();
+  version::SnapshotPtr snap = version::Snapshot::Recycling(
+      std::move(db), epoch,
+      [spare = spare_](std::unique_ptr<core::Database> released,
+                       std::uint64_t released_epoch) {
+        spare->GiveBack(std::move(released), released_epoch);
+      });
   {
     common::MutexLock lock(snapshot_mu_);
     current_snapshot_.swap(snap);
@@ -116,6 +215,7 @@ void Server::PublishSnapshot() {
   version::SnapshotPtr displaced;
   {
     common::MutexLock lock(master_mu_);
+    RestartLogLocked(snapshot_epoch() + 1);
     displaced = PublishSnapshotLocked();
   }
   ReleaseSnapshot(std::move(displaced));
@@ -268,21 +368,27 @@ Result<CheckoutBundle> Server::Checkout(ClientId client,
       }
     }
     if (status.ok()) {
-      // Collect subtree copies.
+      // Collect subtree copies. A tombstoned child ships too, since the
+      // local copy's rules read every child its parent lists, but nothing
+      // below it does.
       std::unordered_set<ObjectId> in_bundle;
+      // Ships `oid` once; true when it is live and its children are queued.
+      auto take = [&](ObjectId oid, std::vector<ObjectId>* work) {
+        auto it = master_->objects_raw().find(oid);
+        if (it == master_->objects_raw().end()) return false;
+        if (!in_bundle.insert(oid).second) return false;
+        bundle.objects.push_back(it->second);
+        if (it->second.deleted) return false;
+        work->insert(work->end(), it->second.children.begin(),
+                     it->second.children.end());
+        return true;
+      };
       for (ObjectId root : roots) {
         std::vector<ObjectId> work{root};
         while (!work.empty()) {
           ObjectId oid = work.back();
           work.pop_back();
-          auto it = master_->objects_raw().find(oid);
-          if (it == master_->objects_raw().end() || it->second.deleted) {
-            continue;
-          }
-          if (!in_bundle.insert(oid).second) continue;
-          bundle.objects.push_back(it->second);
-          work.insert(work.end(), it->second.children.begin(),
-                      it->second.children.end());
+          take(oid, &work);
         }
       }
       // Relationships whose both ends are in the bundle, plus their
@@ -316,15 +422,7 @@ Result<CheckoutBundle> Server::Checkout(ClientId client,
         while (!work.empty()) {
           ObjectId oid = work.back();
           work.pop_back();
-          auto it = master_->objects_raw().find(oid);
-          if (it == master_->objects_raw().end() || it->second.deleted) {
-            continue;
-          }
-          if (!in_bundle.insert(oid).second) continue;
-          bundle.objects.push_back(it->second);
-          add_candidates(oid, rid);
-          work.insert(work.end(), it->second.children.begin(),
-                      it->second.children.end());
+          if (take(oid, &work)) add_candidates(oid, rid);
         }
       }
     }
@@ -381,6 +479,9 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
     const std::uint64_t wait_start = obs::NowNanos();
     common::MutexLock lock(master_mu_);
     lock_wait_ns->Record(obs::NowNanos() - wait_start);
+    // Whether the commit log still describes the master: nobody wrote it
+    // since the server's last own write.
+    const bool logged = master_->write_seq() == log_write_seq_;
 
     // --- Validate lock coverage, logging each item's prior state -------------
     // The undo batch restores what an item was, or erases it when the
@@ -444,7 +545,15 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
     // when a full audit would.
     {
       obs::ScopedTimer timer(apply_ns);
+      // The bundle's new ids lie in the client's stripe. The master's own
+      // generators stay where they were, so that an item created on the
+      // master directly does not take the id the client issues next.
+      const std::uint64_t next_object = master_->object_ids().next_raw();
+      const std::uint64_t next_relationship =
+          master_->relationship_ids().next_raw();
       master_->WriteItemStates(std::move(apply));
+      master_->object_ids().ResetTo(next_object);
+      master_->relationship_ids().ResetTo(next_relationship);
     }
     core::Report audit;
     {
@@ -458,6 +567,7 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
       core::Report full = master_->AuditConsistency();
       if (!full.clean()) audit = std::move(full);
       master_->WriteItemStates(std::move(undo));
+      if (logged) log_write_seq_ = master_->write_seq();
       // Locks are deliberately kept: the client can repair and retry.
       return reject(Status::ConsistencyViolation(
           "check-in rejected: " + audit.violations.front().ToString() +
@@ -467,6 +577,18 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
     }
 
     seq = next_commit_seq_++;
+    const std::uint64_t epoch = snapshot_epoch() + 1;
+    if (logged) {
+      commit_log_.push_back({epoch, std::move(touched_objects),
+                             std::move(touched_relationships)});
+      log_write_seq_ = master_->write_seq();
+      if (commit_log_.size() > kMaxLoggedCommits) {
+        log_base_epoch_ = commit_log_.front().epoch;
+        commit_log_.pop_front();
+      }
+    } else {
+      RestartLogLocked(epoch);
+    }
     // Publish before releasing the stripes: the next checkout winner's
     // snapshot already contains this commit.
     obs::ScopedTimer timer(publish_ns);

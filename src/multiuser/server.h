@@ -24,25 +24,31 @@
 //     runs against an immutable Snapshot of the master, pinned per
 //     session. Readers never take a server mutex beyond a pointer copy
 //     under `snapshot_mu_` and never block on a writer: a check-in
-//     captures and publishes the next snapshot, it does not invalidate
-//     the one readers hold.
+//     publishes the next snapshot, it does not invalidate the one
+//     readers hold. A snapshot whose last pin drops goes back to the
+//     server, which brings it forward by replaying the commits since its
+//     epoch instead of copying the whole master for the next one.
 //   * Striped write locks. Write-lock ownership lives in a LockStripes
 //     table keyed at checkout granularity, so disjoint checkouts and
 //     check-ins proceed in parallel; only the master-mutation span of a
 //     check-in serializes, under `master_mu_`.
 //   * Lock order (outer to inner): sessions_mu_ -> lock stripes ->
-//     master_mu_ -> snapshot_mu_. No method takes an earlier mutex while
-//     holding a later one.
+//     master_mu_ -> snapshot_mu_, and the spare slot's own mutex, which
+//     is a leaf. No method takes an earlier mutex while holding a later
+//     one.
 //
 // Direct access through master()/global_versions() bypasses all of this
 // and is for single-threaded setup and inspection only; call
 // PublishSnapshot() after direct master mutations so sessions see them.
+// (A check-in that finds such writes publishes a full copy, so its
+// snapshot holds them too.)
 
 #ifndef SEED_MULTIUSER_SERVER_H_
 #define SEED_MULTIUSER_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -101,9 +107,11 @@ class Server {
   /// result for as long as it likes without blocking any writer.
   version::SnapshotPtr PinSnapshot() SEED_EXCLUDES(master_mu_);
 
-  /// Captures the master's current state and publishes it as the latest
-  /// snapshot. Check-in does this automatically on every successful
-  /// commit; call it manually after mutating the master directly.
+  /// Copies the master's current state and publishes it as the latest
+  /// snapshot. Check-in publishes automatically on every successful
+  /// commit; call this after mutating the master directly. It always
+  /// copies and restarts the commit log, so no later publish replays
+  /// onto an epoch older than this one.
   void PublishSnapshot() SEED_EXCLUDES(master_mu_);
 
   /// The snapshot pinned to `client`'s session: fixed at first use and
@@ -199,11 +207,37 @@ class Server {
   /// entry points, which each count one pin).
   version::SnapshotPtr PinLatest() SEED_EXCLUDES(master_mu_);
 
-  /// Captures and publishes the next snapshot; bumps the epoch. Returns
-  /// the displaced snapshot, so the caller can drop what may be its last
-  /// pin (an O(database) free) after releasing master_mu_.
+  /// Publishes the master's state as the next epoch. The database is the
+  /// spare brought forward when the commit log covers its epoch (O(items
+  /// logged since)), otherwise a Copy() of the master. Every published
+  /// snapshot hands its database back to the spare slot when its last
+  /// pin drops. Returns the displaced snapshot, so the caller can drop
+  /// what may be its last pin after releasing master_mu_.
   [[nodiscard]] version::SnapshotPtr PublishSnapshotLocked()
       SEED_REQUIRES(master_mu_);
+
+  /// Takes the spare if the commit log covers its epoch and writes the
+  /// master's current states of every id logged since into it; null when
+  /// there is no such spare.
+  std::unique_ptr<core::Database> BringSpareForwardLocked()
+      SEED_REQUIRES(master_mu_);
+
+  /// Empties the commit log: from now on it covers only epochs from
+  /// `epoch` on, and the master as it stands counts as the server's own.
+  void RestartLogLocked(std::uint64_t epoch) SEED_REQUIRES(master_mu_);
+
+  /// The ids one accepted check-in wrote, and the epoch it published.
+  struct LoggedCommit {
+    std::uint64_t epoch = 0;
+    std::vector<ObjectId> objects;
+    std::vector<RelationshipId> relationships;
+  };
+
+  /// Commits the log keeps; a spare older than the oldest is copied over.
+  static constexpr size_t kMaxLoggedCommits = 32;
+
+  /// Holds at most one released snapshot database; defined in server.cc.
+  class SpareSlot;
 
   schema::SchemaPtr schema_;
   // Set once in the constructor and never reset. The pointees are
@@ -228,6 +262,19 @@ class Server {
   /// application, checkout copying, ResolveRoot, snapshot capture).
   mutable common::Mutex master_mu_;
   std::uint64_t next_commit_seq_ SEED_GUARDED_BY(master_mu_) = 1;
+
+  /// Accepted check-ins since `log_base_epoch_`, oldest first: what a
+  /// spare of an epoch from there on lacks.
+  std::deque<LoggedCommit> commit_log_ SEED_GUARDED_BY(master_mu_);
+  std::uint64_t log_base_epoch_ SEED_GUARDED_BY(master_mu_) = 0;
+  /// The master's write_seq() after the server's last own write. Any other
+  /// value before a check-in's apply means the master was written
+  /// directly, and the log no longer describes it.
+  std::uint64_t log_write_seq_ SEED_GUARDED_BY(master_mu_) = 0;
+
+  /// Released snapshot databases come back here. Shared with the
+  /// snapshots' deleters, so a snapshot may outlive its server.
+  std::shared_ptr<SpareSlot> spare_;
 
   /// Publication point for snapshot reads: held only for pointer copies.
   mutable common::Mutex snapshot_mu_;

@@ -26,4 +26,15 @@ SnapshotPtr Snapshot::Capture(const core::Database& source,
   return SnapshotPtr(new Snapshot(source.Copy(), epoch));
 }
 
+SnapshotPtr Snapshot::Recycling(std::unique_ptr<core::Database> db,
+                                std::uint64_t epoch, Recycler recycle) {
+  auto hand_back = [recycle = std::move(recycle)](Snapshot* snap) {
+    std::unique_ptr<core::Database> released = std::move(snap->db_);
+    const std::uint64_t released_epoch = snap->epoch_;
+    delete snap;
+    recycle(std::move(released), released_epoch);
+  };
+  return SnapshotPtr(new Snapshot(std::move(db), epoch), std::move(hand_back));
+}
+
 }  // namespace seed::version

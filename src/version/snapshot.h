@@ -13,14 +13,17 @@
 // tables, id watermarks, retrieval maps, extent counters and attribute
 // indexes are copied as they are, not re-derived. The copy gets a fresh
 // instance id, so plan-cache entries never alias between epochs, and
-// empty change tracking. It is still O(database) — the server captures
-// once per commit, under its master mutex, and every reader shares the
-// result; structural sharing between epochs would make it O(changed).
+// empty change tracking. That is O(database), so the multiuser server
+// copies only when it must: it publishes through Recycling, gets each
+// released snapshot's database back once the last pin drops, and brings
+// it forward to the next epoch by replaying the commits since its own
+// (docs/multiuser.md).
 
 #ifndef SEED_VERSION_SNAPSHOT_H_
 #define SEED_VERSION_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "core/database.h"
@@ -40,6 +43,16 @@ class Snapshot {
   /// from any number of threads concurrently.
   static SnapshotPtr Capture(const core::Database& source,
                              std::uint64_t epoch);
+
+  /// Receives a released snapshot's database and epoch.
+  using Recycler =
+      std::function<void(std::unique_ptr<core::Database>, std::uint64_t)>;
+
+  /// Freezes `db` as the snapshot of `epoch`. When the last pin drops,
+  /// the snapshot is destroyed and `recycle` receives the database
+  /// instead of it being freed; no reader can see it by then.
+  static SnapshotPtr Recycling(std::unique_ptr<core::Database> db,
+                               std::uint64_t epoch, Recycler recycle);
 
   const core::Database& database() const { return *db_; }
   std::uint64_t epoch() const { return epoch_; }

@@ -86,9 +86,9 @@ std::vector<std::string> Encoded(const multiuser::CheckoutBundle& bundle) {
 }
 
 /// A checkout bundle collected by scanning every relationship of the
-/// master: the roots' live subtrees, then each live relationship in id
-/// order whose ends are both in the bundle so far, followed into its
-/// attribute subtree.
+/// master: the roots' live subtrees with the tombstoned children their
+/// live items list, then each live relationship in id order whose ends
+/// are both in the bundle so far, followed into its attribute subtree.
 multiuser::CheckoutBundle ScanCheckout(const Database& master,
                                        const std::vector<ObjectId>& roots) {
   multiuser::CheckoutBundle bundle;
@@ -98,9 +98,10 @@ multiuser::CheckoutBundle ScanCheckout(const Database& master,
       ObjectId oid = work.back();
       work.pop_back();
       auto it = master.objects_raw().find(oid);
-      if (it == master.objects_raw().end() || it->second.deleted) continue;
+      if (it == master.objects_raw().end()) continue;
       if (!in_bundle.insert(oid).second) continue;
       bundle.objects.push_back(it->second);
+      if (it->second.deleted) continue;
       work.insert(work.end(), it->second.children.begin(),
                   it->second.children.end());
     }

@@ -274,6 +274,15 @@ class CheckinAuditTest : public ::testing::Test {
       EXPECT_TRUE(status.ok()) << status.ToString();
       EXPECT_EQ(RawItems(*probe), RawItems(*master));
       EXPECT_EQ(RebuiltState(*master), DerivedState(*master));
+      // The published snapshot, replayed or copied, is the master's copy.
+      version::SnapshotPtr snap = server->PinSnapshot();
+      std::unique_ptr<Database> copy = master->Copy();
+      EXPECT_EQ(RawItems(*copy), RawItems(snap->database()));
+      EXPECT_EQ(DerivedState(*copy), DerivedState(snap->database()));
+      EXPECT_EQ(copy->object_ids().next_raw(),
+                snap->database().object_ids().next_raw());
+      EXPECT_EQ(copy->relationship_ids().next_raw(),
+                snap->database().relationship_ids().next_raw());
       return full;
     }
     EXPECT_TRUE(status.IsConsistencyViolation())

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "multiuser/client.h"
 #include "multiuser/server.h"
 #include "obs/metrics.h"
+#include "random_edits.h"
+#include "schema/schema_builder.h"
 #include "spades/spec_schema.h"
 
 namespace seed::multiuser {
@@ -13,12 +18,21 @@ namespace {
 
 using core::Value;
 using spades::BuildFig3Schema;
+using test_support::DerivedState;
+using test_support::RawItems;
 
 /// Samples a histogram holds so far (0 before its first record).
 std::uint64_t HistogramCount(const char* name) {
   const obs::Histogram* hist =
       obs::MetricsRegistry::Global().FindHistogram(name);
   return hist == nullptr ? 0 : hist->count();
+}
+
+/// A counter's value so far (0 before its first increment).
+std::uint64_t CounterValue(const char* name) {
+  const obs::Counter* counter =
+      obs::MetricsRegistry::Global().FindCounter(name);
+  return counter == nullptr ? 0 : counter->value();
 }
 
 class MultiuserTest : public ::testing::Test {
@@ -370,6 +384,126 @@ TEST_F(MultiuserTest, PartialCheckoutIsConsistentButIncomplete) {
   ASSERT_TRUE(alice.CheckoutByName({"Alarms"}).ok());
   EXPECT_TRUE(alice.local()->AuditConsistency().clean());
   EXPECT_FALSE(alice.local()->CheckCompleteness().clean());
+}
+
+// A check-in publishes by replaying the commit log onto a released
+// snapshot only while the server's own writes are all the master has seen.
+// After a direct write, the next check-in's snapshot must still hold it.
+TEST_F(MultiuserTest, DirectMasterWritesReachTheNextPublishedSnapshot) {
+  const char* kRecycled = "server.snapshot.recycled.total";
+  core::Database* master = server_->master();
+  ObjectId desc = *master->CreateSubObject(sensor_, "Description");
+  ASSERT_TRUE(master->SetValue(desc, Value::String("initial")).ok());
+  server_->PublishSnapshot();
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  int steps = 0;
+  auto commit = [&] {
+    ASSERT_TRUE(alice.CheckoutByName({"Alarms"}).ok());
+    std::string name = "Step" + std::to_string(steps++);
+    ASSERT_TRUE(alice.local()->CreateObject(ids_.action, name).ok());
+    ASSERT_TRUE(alice.Checkin().ok());
+  };
+  // Two commits leave a released epoch the log covers; the second is
+  // published from it.
+  auto prepare = [&] {
+    commit();
+    const std::uint64_t recycled = CounterValue(kRecycled);
+    commit();
+    EXPECT_GT(CounterValue(kRecycled), recycled);
+  };
+  auto expect_published = [&](const char* write) {
+    SCOPED_TRACE(write);
+    commit();
+    version::SnapshotPtr snap = server_->PinSnapshot();
+    const core::Database& published = snap->database();
+    std::unique_ptr<core::Database> copy = master->Copy();
+    EXPECT_EQ(RawItems(*copy), RawItems(published));
+    EXPECT_EQ(DerivedState(*copy), DerivedState(published));
+    EXPECT_EQ(copy->schema(), published.schema());
+  };
+
+  prepare();
+  ASSERT_TRUE(master->SetValue(desc, Value::String("direct")).ok());
+  expect_published("SetValue");
+
+  prepare();
+  core::ObjectItem item = master->objects_raw().at(desc);
+  item.value = Value::String("restored");
+  master->RestoreObject(std::move(item));
+  master->RebuildIndexes();
+  expect_published("RestoreObject");
+
+  prepare();
+  ASSERT_TRUE(master->CreateAttributeIndex({ids_.thing, "Description"}).ok());
+  expect_published("CreateAttributeIndex");
+
+  prepare();
+  auto builder = schema::SchemaBuilder::Evolve(*master->schema());
+  schema::Role caller{"caller", ids_.action, schema::Cardinality::Any()};
+  schema::Role callee{"callee", ids_.action, schema::Cardinality::Any()};
+  builder.AddAssociation("Calls", caller, callee);
+  auto evolved = builder.Build();
+  ASSERT_TRUE(evolved.ok());
+  ASSERT_TRUE(master->MigrateToSchema(*evolved).ok());
+  expect_published("MigrateToSchema");
+}
+
+// A tombstoned sub-object ships with its parent, so the local copy's rules
+// can read every child the parent lists.
+TEST_F(MultiuserTest, CheckoutShipsTombstonedChildren) {
+  core::Database* master = server_->master();
+  ObjectId desc = *master->CreateSubObject(sensor_, "Description");
+  ASSERT_TRUE(master->DeleteObject(desc).ok());
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  ASSERT_TRUE(alice.CheckoutByName({"Sensor"}).ok());
+  ObjectId local_sensor = *alice.local()->FindObjectByName("Sensor");
+  auto again = alice.local()->CreateSubObject(local_sensor, "Description");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(alice.Checkin().ok());
+}
+
+// A local delete of an item from another client's stripe must not move the
+// workspace's id generator into that stripe.
+TEST_F(MultiuserTest, LocalDeleteOfForeignItemKeepsOwnStripe) {
+  // Alice connects first, so Bob's stripe lies above hers.
+  auto alice_session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **alice_session;
+  auto bob_session = ClientSession::Open(server_.get(), "bob");
+  ClientSession& bob = **bob_session;
+  const std::uint64_t bob_stripe = *server_->IdStripeBase(bob.id());
+  ASSERT_LT(*server_->IdStripeBase(alice.id()), bob_stripe);
+
+  ASSERT_TRUE(bob.CheckoutByName({"Sensor"}).ok());
+  ObjectId bob_sensor = *bob.local()->FindObjectByName("Sensor");
+  ASSERT_TRUE(bob.local()->CreateSubObject(bob_sensor, "Description").ok());
+  ASSERT_TRUE(bob.Checkin().ok());
+
+  ASSERT_TRUE(alice.CheckoutByName({"Sensor"}).ok());
+  ObjectId sensor = *alice.local()->FindObjectByName("Sensor");
+  std::vector<ObjectId> descs = alice.local()->SubObjects(sensor);
+  ASSERT_EQ(descs.size(), 1u);
+  ASSERT_GE(descs[0].raw(), bob_stripe);
+  ASSERT_TRUE(alice.local()->DeleteObject(descs[0]).ok());
+  auto fresh = alice.local()->CreateSubObject(sensor, "Description");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_LT(fresh->raw(), bob_stripe);
+  EXPECT_TRUE(alice.Checkin().ok());
+}
+
+// A check-in's new ids come from the client's stripe; an item created on
+// the master directly afterwards must not take the client's next id.
+TEST_F(MultiuserTest, DirectCreateAfterCheckinStaysOutOfClientStripes) {
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  const std::uint64_t stripe = *server_->IdStripeBase(alice.id());
+  ASSERT_TRUE(alice.CheckoutByName({"Sensor"}).ok());
+  ASSERT_TRUE(alice.local()->CreateObject(ids_.action, "Fresh").ok());
+  ASSERT_TRUE(alice.Checkin().ok());
+  auto direct = server_->master()->CreateObject(ids_.action, "Direct");
+  ASSERT_TRUE(direct.ok());
+  EXPECT_LT(direct->raw(), stripe);
 }
 
 }  // namespace
