@@ -695,10 +695,11 @@ BENCHMARK(BM_Query_PipelineCostOrder)->Arg(10000)->Arg(100000);
 // --- Long chains: DP plan vs. textual order vs. exhaustive left-deep ---------
 //
 // The 5-hop skewed chain (beyond the old 3-hop cap) from
-// bench/skewed_chain.h — the same world the CI plan-quality smoke gate
-// checks. The textual order drags dense intermediates through the whole
-// chain; the exhaustive left-deep search (the PR-4 approach, here over
-// 16 orders) reduces one side before each dense crossing; the DP can
+// bench/skewed_chain.h — the same world the plan-quality count gate
+// (tests/count_gate_test.cc) checks. The textual order drags dense
+// intermediates through the whole chain; the exhaustive left-deep search
+// (the PR-4 approach, here over 16 orders) reduces one side before each
+// dense crossing; the DP can
 // additionally reduce BOTH sides of a dense hop via a bushy segment x
 // segment join.
 

@@ -1,8 +1,7 @@
 // The skewed 5-hop chain workload shared by bench_query's long-chain
-// benchmarks and the CI plan-quality smoke gate
-// (examples/plan_quality_smoke.cpp). Both must model the IDENTICAL
-// world for the gate's 2x rows-visited guardrail to track what the
-// bench reports, so the builder lives in one place.
+// benchmarks and the count gates (tests/count_gate_test.cc). Both must
+// model the IDENTICAL world for the gates' 2x rows-visited guardrails to
+// track what the bench reports, so the builder lives in one place.
 //
 // Shape: classes C0..C5 connected by 5 associations, hops 0/2/4 tiny
 // and selective (10 edges), hops 1/3 dense (~n edges, bounded degree).

@@ -532,6 +532,42 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
       apply.relationships[rel.id] = rel;
     }
 
+    // --- Validate references: every id an item names is held by the
+    // bundle or the master, so the apply and the audit never chase a
+    // dangling id.
+    auto has_object = [&](ObjectId id) {
+      return apply.objects.count(id) != 0 || objects.count(id) != 0;
+    };
+    auto has_relationship = [&](RelationshipId id) {
+      return apply.relationships.count(id) != 0 || rels.count(id) != 0;
+    };
+    auto dangling = [&](const char* what, std::uint64_t raw) {
+      return reject(Status::FailedPrecondition(
+          std::string("check-in names unknown ") + what + " " +
+          std::to_string(raw)));
+    };
+    for (const auto& [id, obj] : apply.objects) {
+      for (ObjectId child : obj.children) {
+        if (!has_object(child)) return dangling("object", child.raw());
+      }
+      if (obj.parent_kind == core::ParentKind::kObject &&
+          !has_object(obj.parent_object)) {
+        return dangling("object", obj.parent_object.raw());
+      }
+      if (obj.parent_kind == core::ParentKind::kRelationship &&
+          !has_relationship(obj.parent_relationship)) {
+        return dangling("relationship", obj.parent_relationship.raw());
+      }
+    }
+    for (const auto& [id, rel] : apply.relationships) {
+      for (ObjectId end : rel.ends) {
+        if (!has_object(end)) return dangling("object", end.raw());
+      }
+      for (ObjectId child : rel.children) {
+        if (!has_object(child)) return dangling("object", child.raw());
+      }
+    }
+
     std::vector<ObjectId> touched_objects;
     std::vector<RelationshipId> touched_relationships;
     for (const auto& [id, obj] : apply.objects) touched_objects.push_back(id);

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/coding.h"
@@ -14,8 +15,64 @@
 namespace seed::storage {
 
 namespace {
+/// [u32 payload_len][u64 checksum] ahead of every payload.
+constexpr size_t kFrameHeaderBytes = 12;
+
 std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
+}
+
+/// Verifies and decodes one record's payload.
+Result<WalRecord> DecodeRecord(const std::uint8_t* payload, size_t len,
+                               std::uint64_t checksum) {
+  if (Fnv1a64(payload, len) != checksum) {
+    return Status::Corruption("checksum mismatch");
+  }
+  Decoder body(payload, len);
+  SEED_ASSIGN_OR_RETURN(std::uint8_t op, body.GetU8());
+  WalRecord rec;
+  SEED_ASSIGN_OR_RETURN(rec.key, body.GetVarint());
+  if (op == static_cast<std::uint8_t>(WalOp::kPut)) {
+    rec.op = WalOp::kPut;
+    SEED_ASSIGN_OR_RETURN(rec.value, body.GetString());
+  } else if (op == static_cast<std::uint8_t>(WalOp::kDelete)) {
+    rec.op = WalOp::kDelete;
+  } else {
+    return Status::Corruption("unknown op " + std::to_string(op));
+  }
+  return rec;
+}
+
+/// One frame of the log: where its payload starts in the buffer, its
+/// length and its stored checksum.
+struct Frame {
+  size_t payload;
+  std::uint32_t len;
+  std::uint64_t checksum;
+  size_t end() const { return payload + len; }
+};
+
+/// The frame at `pos`, or nullopt when its framing runs past the log's end.
+std::optional<Frame> ReadFrame(const std::vector<std::uint8_t>& buf,
+                               size_t pos) {
+  Decoder dec(buf.data() + pos, buf.size() - pos);
+  auto len = dec.GetU32();
+  auto checksum = dec.GetU64();
+  if (!len.ok() || !checksum.ok() || dec.remaining() < *len) {
+    return std::nullopt;
+  }
+  return Frame{pos + kFrameHeaderBytes, *len, *checksum};
+}
+
+/// True when a frame in the chain starting at `pos` passes its checksum
+/// and decodes, i.e. committed records lie beyond a damaged one.
+bool IntactFrameFrom(const std::vector<std::uint8_t>& buf, size_t pos) {
+  for (auto f = ReadFrame(buf, pos); f; f = ReadFrame(buf, f->end())) {
+    if (DecodeRecord(buf.data() + f->payload, f->len, f->checksum).ok()) {
+      return true;
+    }
+  }
+  return false;
 }
 }  // namespace
 
@@ -110,37 +167,35 @@ Status Wal::Replay(const std::function<Status(const WalRecord&)>& apply) {
     ssize_t n = ::pread(fd_, buf.data(), buf.size(), 0);
     if (n != end) return Status::IoError(Errno("read WAL " + path_));
   }
-  Decoder dec(buf.data(), buf.size());
-  while (!dec.done()) {
-    auto len = dec.GetU32();
-    if (!len.ok()) break;  // torn tail
-    auto checksum = dec.GetU64();
-    if (!checksum.ok()) break;
-    if (dec.remaining() < *len) break;
-    // Slice out the payload for checksum verification.
-    size_t offset = buf.size() - dec.remaining();
-    const std::uint8_t* payload = buf.data() + offset;
-    if (Fnv1a64(payload, *len) != *checksum) break;  // torn/corrupt tail
-    Decoder body(payload, *len);
-    auto op = body.GetU8();
-    auto key = body.GetVarint();
-    if (!op.ok() || !key.ok()) break;
-    WalRecord rec;
-    rec.key = *key;
-    if (*op == static_cast<std::uint8_t>(WalOp::kPut)) {
-      rec.op = WalOp::kPut;
-      auto value = body.GetString();
-      if (!value.ok()) break;
-      rec.value = std::move(*value);
-    } else if (*op == static_cast<std::uint8_t>(WalOp::kDelete)) {
-      rec.op = WalOp::kDelete;
-    } else {
-      break;  // unknown op: treat as corrupt tail
+  size_t pos = 0;
+  while (pos < buf.size()) {
+    auto frame = ReadFrame(buf, pos);
+    if (!frame) break;  // torn tail
+    auto rec = DecodeRecord(buf.data() + frame->payload, frame->len,
+                            frame->checksum);
+    if (!rec.ok()) {
+      // An intact record after a damaged one means the log itself is
+      // damaged: replaying past it or stopping at it would both lose
+      // committed writes. Otherwise it is a torn write (cut short, or
+      // space the file grew by whose data never reached the disk).
+      if (!IntactFrameFrom(buf, frame->end())) break;
+      static obs::Counter* corrupt = obs::MetricsRegistry::Global().GetCounter(
+          "storage.wal.corrupt_records.total");
+      corrupt->Increment();
+      return Status::Corruption("WAL " + path_ + ": record at byte " +
+                                std::to_string(pos) + ": " +
+                                rec.status().message());
     }
-    SEED_RETURN_IF_ERROR(apply(rec));
-    SEED_RETURN_IF_ERROR(dec.Skip(*len));
+    SEED_RETURN_IF_ERROR(apply(*rec));
+    pos = frame->end();
   }
-  return Status::OK();
+  if (pos == buf.size()) return Status::OK();
+  // Cut the torn tail, so later appends follow the last intact record
+  // instead of garbage that would hide them from the next replay.
+  if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0) {
+    return Status::IoError(Errno("truncate torn WAL tail " + path_));
+  }
+  return Sync();
 }
 
 }  // namespace seed::storage

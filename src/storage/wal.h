@@ -11,8 +11,13 @@
 //   [u8 op]  1 = Put, 2 = Delete
 //   [varint key]
 //   [string value]          (Put only)
-// A truncated or checksum-failing tail terminates replay (torn final write
-// from a crash); everything before it is applied.
+// A record that is cut short, or fails its checksum or decode with no
+// intact record after it, is a torn tail (a crash mid-write): everything
+// before it is applied and Replay truncates the log there, so later
+// appends never follow it. A damaged record with an intact one after it is
+// mid-log corruption: Replay returns Status::Corruption, leaves the file
+// as it is and counts storage.wal.corrupt_records.total. A damaged length
+// field reads as a torn tail.
 //
 // Threading: the Wal is single-threaded ("externally serialized"); its
 // owner serializes access — KvStore encodes this statically by guarding
@@ -59,7 +64,8 @@ class Wal {
 
   Status Sync();
 
-  /// Replays all intact records in order. Stops silently at a torn tail.
+  /// Replays all intact records in order. Stops at a torn tail and cuts
+  /// it off; returns Corruption for a bad record with an intact one after.
   Status Replay(const std::function<Status(const WalRecord&)>& apply);
 
   /// Bytes currently in the log.

@@ -219,6 +219,50 @@ TEST_F(MultiuserTest, InconsistentCheckinRolledBack) {
   EXPECT_EQ(server_->master()->ObjectsOfClass(ids_.action).size(), 1u);
 }
 
+// A bundle naming an id that neither it nor the master holds is rejected
+// before the apply, and the master is left as it was.
+TEST_F(MultiuserTest, DanglingIdInBundleRejected) {
+  auto session = ClientSession::Open(server_.get(), "alice");
+  ClientSession& alice = **session;
+  ASSERT_TRUE(alice.CheckoutByName({"Sensor"}).ok());
+  const std::uint64_t rejected0 =
+      CounterValue("multiuser.checkins.rejected.total");
+  const core::ObjectItem before = server_->master()->objects_raw().at(sensor_);
+
+  CheckinBundle dangling_child;
+  dangling_child.objects.push_back(before);
+  dangling_child.objects.back().children.push_back(ObjectId(999999));
+  EXPECT_TRUE(
+      server_->Checkin(alice.id(), dangling_child).IsFailedPrecondition());
+
+  CheckinBundle dangling_parent;
+  core::ObjectItem orphan;
+  orphan.id = ObjectId(*server_->IdStripeBase(alice.id()) + 1);
+  orphan.cls = ids_.description;
+  orphan.parent_kind = core::ParentKind::kObject;
+  orphan.parent_object = ObjectId(999999);
+  dangling_parent.objects.push_back(orphan);
+  EXPECT_TRUE(
+      server_->Checkin(alice.id(), dangling_parent).IsFailedPrecondition());
+
+  CheckinBundle dangling_end;
+  dangling_end.relationships.push_back(
+      server_->master()->relationships_raw().at(write_));
+  dangling_end.relationships.back().ends[0] = ObjectId(999999);
+  EXPECT_TRUE(
+      server_->Checkin(alice.id(), dangling_end).IsFailedPrecondition());
+
+  EXPECT_EQ(server_->checkins_applied(), 0u);
+  EXPECT_EQ(server_->checkins_rejected(), 3u);
+  EXPECT_EQ(CounterValue("multiuser.checkins.rejected.total") - rejected0, 3u);
+  EXPECT_EQ(server_->master()->objects_raw().at(sensor_).children,
+            before.children);
+  EXPECT_EQ(server_->master()->objects_raw().count(orphan.id), 0u);
+  EXPECT_EQ(server_->master()->relationships_raw().at(write_).ends[0],
+            alarms_);
+  EXPECT_TRUE(server_->master()->AuditConsistency().clean());
+}
+
 TEST_F(MultiuserTest, CheckinPhasesAreTimed) {
   const std::uint64_t apply0 = HistogramCount("server.checkin.apply.ns");
   const std::uint64_t audit0 = HistogramCount("server.checkin.audit.ns");

@@ -1,13 +1,16 @@
 // HeapFile and WAL tests: record lifecycle across page chains, scans,
-// update relocation; log append/replay, torn-tail tolerance, truncation.
+// update relocation; log append/replay, torn-tail tolerance, mid-log
+// corruption, truncation.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/heap_file.h"
 #include "storage/wal.h"
 
@@ -251,6 +254,105 @@ TEST_F(WalTest, CorruptPayloadStopsReplay) {
                  })
                   .ok());
   EXPECT_EQ(count, 1u);
+}
+
+TEST_F(WalTest, AppendAfterTornTailRecoveryReplays) {
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(path_, false).ok());
+    ASSERT_TRUE(wal.AppendPut(1, "intact").ok());
+    ASSERT_TRUE(wal.AppendPut(2, "will be torn").ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  {
+    FILE* f = fopen(path_.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    fseek(f, 0, SEEK_END);
+    long size = ftell(f);
+    ASSERT_EQ(ftruncate(fileno(f), size - 5), 0);
+    fclose(f);
+  }
+  // Recover, then write more without a clean shutdown.
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(path_, false).ok());
+    ASSERT_TRUE(wal.Replay([](const WalRecord&) { return Status::OK(); }).ok());
+    ASSERT_TRUE(wal.AppendPut(3, "after recovery").ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  Wal wal;
+  ASSERT_TRUE(wal.Open(path_, false).ok());
+  std::vector<std::uint64_t> keys;
+  Status s = wal.Replay([&](const WalRecord& rec) {
+    keys.push_back(rec.key);
+    return Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(keys, (std::vector<std::uint64_t>{1, 3}));
+}
+
+TEST_F(WalTest, ZeroFilledTailIsTorn) {
+  std::uint64_t intact_bytes = 0;
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(path_, false).ok());
+    ASSERT_TRUE(wal.AppendPut(1, "first").ok());
+    ASSERT_TRUE(wal.AppendPut(2, "second").ok());
+    intact_bytes = *wal.SizeBytes();
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  // The file grew, but the appended data never reached the disk.
+  {
+    FILE* f = fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const char zeros[32] = {};
+    ASSERT_EQ(fwrite(zeros, 1, sizeof(zeros), f), sizeof(zeros));
+    fclose(f);
+  }
+  Wal wal;
+  ASSERT_TRUE(wal.Open(path_, false).ok());
+  size_t count = 0;
+  Status s = wal.Replay([&](const WalRecord&) {
+    ++count;
+    return Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(*wal.SizeBytes(), intact_bytes);
+}
+
+TEST_F(WalTest, MidLogCorruptionIsAnError) {
+  std::uint64_t second_record_end = 0;
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(path_, false).ok());
+    ASSERT_TRUE(wal.AppendPut(1, "first").ok());
+    ASSERT_TRUE(wal.AppendPut(2, "second").ok());
+    second_record_end = *wal.SizeBytes();
+    ASSERT_TRUE(wal.AppendPut(3, "third").ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  // Flip a byte of the middle record's value ("second" ends its payload).
+  {
+    FILE* f = fopen(path_.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    fseek(f, static_cast<long>(second_record_end) - 3, SEEK_SET);
+    fputc('X', f);
+    fclose(f);
+  }
+  const obs::Counter* corrupt = obs::MetricsRegistry::Global().GetCounter(
+      "storage.wal.corrupt_records.total");
+  const std::uint64_t corrupt0 = corrupt->value();
+  Wal wal;
+  ASSERT_TRUE(wal.Open(path_, false).ok());
+  size_t count = 0;
+  Status s = wal.Replay([&](const WalRecord&) {
+    ++count;
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(count, 1u);
+  EXPECT_EQ(corrupt->value() - corrupt0, 1u);
 }
 
 TEST_F(WalTest, TruncateEmptiesLog) {

@@ -1,4 +1,5 @@
-// KvStore tests: durable map semantics, WAL-based recovery, checkpointing.
+// KvStore tests: durable map semantics, WAL-based recovery (torn tails,
+// mid-log corruption), checkpointing.
 
 #include <gtest/gtest.h>
 
@@ -91,6 +92,65 @@ TEST_F(KvStoreTest, RecoveryFromWalWithoutCheckpoint) {
   EXPECT_TRUE(recovered.Get(1).status().IsNotFound());
   EXPECT_EQ(*recovered.Get(2), "two");
   EXPECT_EQ(*recovered.Get(3), "three");
+}
+
+TEST_F(KvStoreTest, OpenReportsMidLogCorruption) {
+  {
+    KvStore kv;
+    ASSERT_TRUE(kv.Open(dir_).ok());
+    ASSERT_TRUE(kv.Put(1, "aaaa").ok());
+    ASSERT_TRUE(kv.Put(2, "bbbb").ok());
+    ASSERT_TRUE(kv.Put(3, "cccc").ok());
+    std::filesystem::create_directories(dir_ + "/crash");
+    std::filesystem::copy(dir_ + "/seed.db", dir_ + "/crash/seed.db");
+    std::filesystem::copy(dir_ + "/seed.wal", dir_ + "/crash/seed.wal");
+  }
+  // Each record is a 12-byte frame header and a 7-byte payload ending in
+  // its value; damage the second record's value.
+  {
+    FILE* f = std::fopen((dir_ + "/crash/seed.wal").c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 19 + 12 + 5, SEEK_SET);
+    std::fputc('X', f);
+    std::fclose(f);
+  }
+  KvStore recovered;
+  Status s = recovered.Open(dir_ + "/crash");
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(recovered.Get(1).status().IsFailedPrecondition());
+}
+
+TEST_F(KvStoreTest, WritesAfterTornTailRecoverySurviveACrash) {
+  auto crash_copy = [](const std::string& from, const std::string& to) {
+    std::filesystem::create_directories(to);
+    std::filesystem::copy(from + "/seed.db", to + "/seed.db");
+    std::filesystem::copy(from + "/seed.wal", to + "/seed.wal");
+  };
+  {
+    KvStore kv;
+    ASSERT_TRUE(kv.Open(dir_).ok());
+    ASSERT_TRUE(kv.Put(1, "aaaa").ok());
+    ASSERT_TRUE(kv.Put(2, "bbbb").ok());
+    ASSERT_TRUE(kv.Put(3, "cccc").ok());
+    crash_copy(dir_, dir_ + "/crash1");
+  }
+  // The crash tore the last record.
+  std::filesystem::resize_file(
+      dir_ + "/crash1/seed.wal",
+      std::filesystem::file_size(dir_ + "/crash1/seed.wal") - 3);
+  {
+    KvStore kv;
+    ASSERT_TRUE(kv.Open(dir_ + "/crash1").ok());
+    ASSERT_TRUE(kv.Put(4, "dddd").ok());
+    crash_copy(dir_ + "/crash1", dir_ + "/crash2");
+  }
+  KvStore recovered;
+  Status s = recovered.Open(dir_ + "/crash2");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(*recovered.Get(1), "aaaa");
+  EXPECT_EQ(*recovered.Get(2), "bbbb");
+  EXPECT_TRUE(recovered.Get(3).status().IsNotFound());
+  EXPECT_EQ(*recovered.Get(4), "dddd");
 }
 
 TEST_F(KvStoreTest, CheckpointTruncatesWal) {
